@@ -194,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="pairwise geodesic distance matrix over PSD files")
     p.add_argument("files", nargs="+")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="thread count for pair evaluation")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="ignored, kept for compatibility: evaluation is single-threaded and vectorized",
+    )
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("estimate", help="estimate a PSD from a time-series CSV")

@@ -9,6 +9,7 @@ polynomials of degree d integrate exactly once n > 2d.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,12 @@ class FrequencyGrid:
         return 2.0 * np.pi / self.n
 
 
+@functools.lru_cache(maxsize=16)
 def make_grid(n: int) -> FrequencyGrid:
     """Build the uniform n-node grid on [-pi, pi).
+
+    Grids are immutable and depend only on ``n``, so repeated calls share
+    one instance (and one ``nodes`` array) per node count.
 
     Parameters
     ----------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +22,7 @@ from .divergences import geodesic_distance
 from .errors import CsvParseError, InvalidGridError, NegativeDensityError
 from .estimation import TimeSeries
 from .grid import make_grid
-from .spectra import Psd, psd_from_samples
+from .spectra import Psd, _require_same_grid, psd_from_samples
 
 __all__ = [
     "DistanceMatrix",
@@ -36,6 +36,10 @@ __all__ = [
 
 PSD_HEADER = ("theta", "psd")
 
+# Exact first lines that let a file take the vectorized parse.
+_PSD_HEADER_LINE = ",".join(PSD_HEADER) + "\n"
+_SERIES_HEADER_LINES = ("t,value\n", "value\n")
+
 # Relative spacing jitter allowed before a frequency column is rejected.
 _SPACING_RTOL = 1e-9
 
@@ -43,6 +47,10 @@ _SPACING_RTOL = 1e-9
 # in distance matrices and on stdout.
 _PSD_DIGITS = 17
 _RESULT_DIGITS = 12
+
+# Rows of strictly positive spectra differenced against one row at a time in
+# the pair loop; caps the scratch block at this many grid-length vectors.
+_PAIR_BLOCK = 32
 
 
 def format_scalar(x: float) -> str:
@@ -63,10 +71,39 @@ def write_psd_csv(psd: Psd, path) -> None:
 
 
 def _write_psd_rows(psd: Psd, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(PSD_HEADER)
-    for theta, value in zip(psd.grid.nodes, psd.values):
-        writer.writerow([f"{theta:.{_PSD_DIGITS}g}", f"{value:.{_PSD_DIGITS}g}"])
+    # Numbers never need CSV quoting, so the rows are formatted directly.
+    fh.write(_PSD_HEADER_LINE)
+    fh.writelines(
+        [
+            f"{theta:.{_PSD_DIGITS}g},{value:.{_PSD_DIGITS}g}\n"
+            for theta, value in zip(psd.grid.nodes.tolist(), psd.values.tolist())
+        ]
+    )
+
+
+def _numeric_table(path, headers: tuple[str, ...]) -> np.ndarray | None:
+    """The data rows of a plain numeric CSV in one vectorized parse.
+
+    Returns an ``(n, columns)`` array when the first line is exactly one of
+    ``headers`` (LF-terminated; the column count is that header's) and every
+    row parses to finite numbers.  Returns ``None`` for anything else, so the
+    caller's row parser decides: it accepts the same files and is the only
+    code that names a bad line.
+    """
+    with open(path, newline="") as fh:
+        try:
+            header = fh.readline()
+            if header not in headers:
+                return None
+            with warnings.catch_warnings():
+                # a header-only file: "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            return None
+    if table.shape[1] != header.count(",") + 1 or not np.isfinite(table).all():
+        return None
+    return table
 
 
 def read_psd_csv(path) -> Psd:
@@ -82,6 +119,29 @@ def read_psd_csv(path) -> Psd:
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
+    table = _numeric_table(path, (_PSD_HEADER_LINE,))
+    if table is not None and not np.any(table[:, 1] < 0.0):
+        thetas, values = table[:, 0], table[:, 1]
+    else:
+        thetas, values = _read_psd_rows(path)
+    n = len(thetas)
+    if n < 2:
+        raise CsvParseError(f"{path}: a PSD file needs at least 2 data rows, got {n}")
+    grid = make_grid(n)
+    spacing = np.diff(thetas)
+    if np.any(np.abs(spacing - grid.spacing) > _SPACING_RTOL * grid.spacing):
+        raise InvalidGridError(
+            f"{path}: frequency column is not uniform with spacing 2*pi/{n}"
+        )
+    if abs(thetas[0] + math.pi) > _SPACING_RTOL * grid.spacing:
+        raise InvalidGridError(
+            f"{path}: frequency column must start at -pi, got {float(thetas[0])!r}"
+        )
+    return psd_from_samples(grid, values)
+
+
+def _read_psd_rows(path) -> tuple[list[float], list[float]]:
+    """Row-by-row parse of a PSD file, raising on the first bad line."""
     thetas: list[float] = []
     values: list[float] = []
     with open(path, newline="") as fh:
@@ -113,24 +173,24 @@ def read_psd_csv(path) -> Psd:
                 )
             thetas.append(theta)
             values.append(value)
-    n = len(thetas)
-    if n < 2:
-        raise CsvParseError(f"{path}: a PSD file needs at least 2 data rows, got {n}")
-    grid = make_grid(n)
-    spacing = np.diff(thetas)
-    if np.any(np.abs(spacing - grid.spacing) > _SPACING_RTOL * grid.spacing):
-        raise InvalidGridError(
-            f"{path}: frequency column is not uniform with spacing 2*pi/{n}"
-        )
-    if abs(thetas[0] + math.pi) > _SPACING_RTOL * grid.spacing:
-        raise InvalidGridError(
-            f"{path}: frequency column must start at -pi, got {thetas[0]!r}"
-        )
-    return psd_from_samples(grid, values)
+    return thetas, values
 
 
 def read_timeseries_csv(path) -> TimeSeries:
     """Read a signal from a ``t,value`` or single ``value`` column file."""
+    table = _numeric_table(path, _SERIES_HEADER_LINES)
+    if table is not None:
+        samples = np.ascontiguousarray(table[:, -1])
+    else:
+        samples = np.asarray(_read_timeseries_rows(path))
+    try:
+        return TimeSeries(samples=samples, label=Path(path).stem)
+    except ValueError as exc:
+        raise CsvParseError(f"{path}: {exc}") from exc
+
+
+def _read_timeseries_rows(path) -> list[float]:
+    """Row-by-row parse of a time-series file, raising on the first bad line."""
     samples: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -159,10 +219,7 @@ def read_timeseries_csv(path) -> TimeSeries:
                 raise CsvParseError(
                     f"{path}: line {lineno}: non-numeric value {row[value_index]!r}"
                 ) from None
-    try:
-        return TimeSeries(samples=np.asarray(samples), label=Path(path).stem)
-    except ValueError as exc:
-        raise CsvParseError(f"{path}: {exc}") from exc
+    return samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,28 +239,44 @@ def build_distance_matrix(
 ) -> DistanceMatrix:
     """Geodesic distances between all pairs, each unordered pair computed once.
 
-    ``jobs > 1`` evaluates pairs on a thread pool; results are written into
-    the matrix by index, so the output is identical for any schedule.
+    Evaluation is single-threaded and vectorized; ``jobs`` is accepted for
+    compatibility and ignored.  Strictly positive spectra take their logs
+    once, and each row is differenced against the later rows a block at a
+    time, with the same operations and summation order as
+    :func:`geodesic_distance`, so every entry is bit-identical to it.  Pairs
+    involving a spectrum with zeros go through :func:`geodesic_distance`
+    itself, which owns the zero-set bookkeeping and the ``inf`` completion.
     """
     if len(spectra) != len(labels):
         raise ValueError(
             f"{len(spectra)} spectra but {len(labels)} labels"
         )
     k = len(spectra)
+    for f in spectra[1:]:
+        _require_same_grid(spectra[0], f)
     entries = np.zeros((k, k))
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def one(pair):
-        i, j = pair
-        return geodesic_distance(spectra[i], spectra[j])
-
-    if jobs > 1 and pairs:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            distances = list(pool.map(one, pairs))
-    else:
-        distances = [one(p) for p in pairs]
-    for (i, j), d in zip(pairs, distances):
-        entries[i, j] = entries[j, i] = d
+    has_zeros = [bool(f.zero_set) for f in spectra]
+    positive = [i for i, z in enumerate(has_zeros) if not z]
+    if positive:
+        logs = np.empty((len(positive), spectra[0].grid.n))
+        for row, i in zip(logs, positive):
+            np.log(spectra[i].values, out=row)
+        columns = np.array(positive)
+        scratch = np.empty((min(_PAIR_BLOCK, len(positive)), logs.shape[1]))
+        for a, i in enumerate(positive):
+            for start in range(a + 1, len(positive), _PAIR_BLOCK):
+                js = columns[start : start + _PAIR_BLOCK]
+                d = scratch[: js.size]
+                # central_variance of log f_i - log f_j; reducing along the
+                # contiguous last axis keeps numpy's pairwise summation order.
+                np.subtract(logs[a], logs[start : start + js.size], out=d)
+                d -= d.mean(axis=1, keepdims=True)
+                d *= d
+                entries[i, js] = entries[js, i] = np.sqrt(d.mean(axis=1))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if has_zeros[i] or has_zeros[j]:
+                entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
     entries.setflags(write=False)
     return DistanceMatrix(labels=tuple(labels), entries=entries)
 

@@ -34,6 +34,11 @@ def test_grid_equality_is_by_node_count():
     assert make_grid(16) != make_grid(17)
 
 
+@pytest.mark.parametrize("n", [2, 16, 4096])
+def test_grid_instances_are_shared(n):
+    assert make_grid(n) is make_grid(n)
+
+
 def test_mean_of_constant_is_normalized():
     g = make_grid(37)
     assert mean(g, np.ones(37)) == 1.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,19 @@ from specdist import (
     InvalidGridError,
     NegativeDensityError,
     build_distance_matrix,
+    geodesic_distance,
     psd_constant,
     psd_from_ar,
+    psd_from_samples,
     read_psd_csv,
     read_timeseries_csv,
     write_distance_matrix_csv,
     write_psd_csv,
 )
+from specdist import io as specdist_io
 from specdist.io import format_scalar
 
-from conftest import psd_with_zero_at
+from conftest import psd_with_zero_at, random_positive_spectrum
 
 
 class TestPsdRoundTrip:
@@ -118,7 +122,164 @@ class TestTimeSeriesRead:
             read_timeseries_csv(path)
 
 
+_THETAS = [f"{t:.17g}" for t in -np.pi + np.pi / 2 * np.arange(4)]
+
+
+def _psd_text(values, header="theta,psd", end="\n"):
+    rows = [f"{t},{v}" for t, v in zip(_THETAS, values)]
+    return end.join([header, *rows]) + end
+
+
+# Edge cases for the vectorized parse; each must come out exactly as the
+# row parser has it, whether as a density or as an error.
+PSD_CORPUS = {
+    "plain": _psd_text(["1.5", "2", "0.25", "3"]),
+    "crlf": _psd_text(["1.5", "2", "0.25", "3"], end="\r\n"),
+    "crlf_body": "theta,psd\n" + _psd_text(["1.5", "2", "0.25", "3"], end="\r\n").split("\r\n", 1)[1],
+    "header_spaces": _psd_text(["1.5", "2", "0.25", "3"], header=" theta , psd "),
+    "quoted": _psd_text(['"1.5"', "2", "0.25", "3"]),
+    "comment_line": _psd_text(["1.5", "2", "0.25", "3"]).replace("\n", "\n# note\n", 1),
+    "blank_line": _psd_text(["1.5", "2", "0.25", "3"]).replace("\n", "\n\n", 2),
+    "blank_crlf_line": _psd_text(["1.5", "2", "0.25", "3"]).replace("\n", "\n\r\n", 2),
+    "whitespace_line": _psd_text(["1.5", "2", "0.25", "3"]).replace("\n", "\n   \n", 2),
+    "padded_fields": _psd_text([" 1.5", "2 ", "\t0.25", "3"]),
+    "nan": _psd_text(["1.5", "nan", "0.25", "3"]),
+    "inf": _psd_text(["1.5", "2", "inf", "3"]),
+    "overflow": _psd_text(["1.5", "2", "0.25", "1e400"]),
+    "underscore": _psd_text(["1_0", "2", "0.25", "3"]),
+    "trailing_comma": _psd_text(["1.5", "2,", "0.25", "3"]),
+    "empty_field": _psd_text(["1.5", "", "0.25", "3"]),
+    "extra_column": _psd_text(["1.5", "2,7", "0.25", "3"]),
+    "non_numeric_theta": _psd_text(["1.5", "2", "0.25", "3"]).replace(_THETAS[1], "x"),
+    "header_only": "theta,psd\n",
+    "empty_file": "",
+    "one_row": f"theta,psd\n{_THETAS[0]},1\n",
+    "negative": _psd_text(["1.5", "2", "-0.25", "3"]),
+    "negative_zero": _psd_text(["1.5", "-0.0", "0.25", "0"]),
+    "no_final_newline": _psd_text(["1.5", "2", "0.25", "3"]).rstrip("\n"),
+    "jittered_grid": _psd_text(["1", "1", "1", "1"]).replace(_THETAS[2], "1e-3"),
+    "wrong_origin": "theta,psd\n" + "".join(f"{t:.17g},1\n" for t in np.pi / 2 * np.arange(4)),
+}
+
+SERIES_CORPUS = {
+    "two_column": "t,value\n0,1.5\n1,-2.5\n2,3.5\n",
+    "one_column": "value\n1\n-2\n3e-3\n",
+    "crlf": "t,value\r\n0,1.5\r\n1,2.5\r\n",
+    "crlf_body": "value\n1\r\n2\r\n3\r\n",
+    "header_spaces": "t, value\n0,1\n1,2\n",
+    "quoted": 'value\n"1"\n2\n',
+    "comment_line": "value\n# note\n1\n2\n",
+    "blank_line": "value\n1\n\n2\n",
+    "whitespace_line": "value\n1\n  \n2\n",
+    "padded_fields": "t,value\n0, 1.5\n1 ,2.5 \n",
+    "non_numeric_t": "t,value\na,1\nb,2\n",
+    "nan": "value\n1\nnan\n2\n",
+    "inf_t": "t,value\ninf,1\n1,2\n",
+    "overflow": "value\n1\n1e400\n",
+    "underscore": "value\n1_0\n2\n",
+    "trailing_comma": "t,value\n0,1,\n1,2,\n",
+    "extra_column": "value\n1,2\n3,4\n",
+    "header_only": "t,value\n",
+    "empty_file": "",
+    "one_row": "value\n1\n",
+    "negative_zero": "value\n-0.0\n1\n",
+    "no_final_newline": "value\n1\n2",
+}
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its result, or its exception."""
+    try:
+        return read(path)
+    except Exception as exc:  # the exception is the outcome
+        return exc
+
+
+class TestFastParse:
+    """The vectorized parse against the row parser it falls back to."""
+
+    def both(self, monkeypatch, read, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _outcome(read, path)
+        with monkeypatch.context() as m:
+            m.setattr(specdist_io, "_numeric_table", lambda path, headers: None)
+            rows = _outcome(read, path)
+        if isinstance(rows, Exception):
+            assert type(fast) is type(rows)
+            assert str(fast) == str(rows)
+        else:
+            assert not isinstance(fast, Exception), fast
+        return fast, rows
+
+    @pytest.mark.parametrize("case", sorted(PSD_CORPUS))
+    def test_psd_matches_row_parser(self, tmp_path, monkeypatch, case):
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(PSD_CORPUS[case].encode())
+        fast, rows = self.both(monkeypatch, read_psd_csv, path)
+        if not isinstance(rows, Exception):
+            assert fast.grid == rows.grid
+            np.testing.assert_array_equal(fast.values.view(np.uint64), rows.values.view(np.uint64))
+            assert fast.zero_set == rows.zero_set
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CORPUS))
+    def test_timeseries_matches_row_parser(self, tmp_path, monkeypatch, case):
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(SERIES_CORPUS[case].encode())
+        fast, rows = self.both(monkeypatch, read_timeseries_csv, path)
+        if not isinstance(rows, Exception):
+            np.testing.assert_array_equal(fast.samples.view(np.uint64), rows.samples.view(np.uint64))
+            assert fast.label == rows.label
+
+    def test_written_files_take_the_fast_path(self, tmp_path, grid1024):
+        f = random_positive_spectrum(np.random.default_rng(3), grid1024)
+        path = tmp_path / "f.csv"
+        write_psd_csv(f, path)
+        table = specdist_io._numeric_table(path, ("theta,psd\n",))
+        assert table is not None and table.shape == (1024, 2)
+        np.testing.assert_array_equal(table[:, 1], f.values)
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("theta,psd\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvParseError, match="got 0"):
+                read_psd_csv(path)
+
+
+def _mixed_spectra(k, grid, rng):
+    """Strictly positive spectra, a group sharing one zero, and spectra with
+    a zero of their own, in shuffled order."""
+    spectra = []
+    for i in range(k):
+        values = np.array(random_positive_spectrum(rng, grid).values)
+        if i % 10 in (4, 7):
+            values[3] = 0.0
+        elif i % 10 == 9:
+            values[10 + i] = 0.0
+        spectra.append(psd_from_samples(grid, values))
+    return [spectra[i] for i in rng.permutation(k)]
+
+
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("k", [1, 2, 33, 70])
+    def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k):
+        spectra = _mixed_spectra(k, grid1024, np.random.default_rng(k))
+        m = build_distance_matrix(spectra, [f"s{i}" for i in range(k)]).entries
+        for i in range(k):
+            for j in range(i + 1, k):
+                expected = geodesic_distance(spectra[i], spectra[j])
+                assert m[i, j] == expected
+                assert math.isinf(m[i, j]) == (spectra[i].zero_set != spectra[j].zero_set)
+        np.testing.assert_array_equal(m.view(np.uint64), m.T.view(np.uint64))
+        np.testing.assert_array_equal(np.diag(m).view(np.uint64), 0)
+
+    def test_mixed_grids_name_the_first_mismatch(self, grid64, grid1024):
+        spectra = [psd_constant(grid64, 1.0), psd_with_zero_at(grid64, 2), psd_constant(grid1024, 1.0)]
+        with pytest.raises(ValueError, match=r"different grids \(n = 64 vs 1024\)"):
+            build_distance_matrix(spectra, ["a", "b", "c"])
+
     def test_single_entry(self, tmp_path, grid64):
         m = build_distance_matrix([psd_constant(grid64, 1.0)], ["only"])
         out = tmp_path / "m.csv"
