@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .grid import central_variance, mean as grid_mean
-from .spectra import Psd, _require_same_grid, log_ratio
+from .grid import central_variance
+from .spectra import Psd, _on_common_support, arithmetic_mean, log_ratio
 
 __all__ = [
     "SpectrumClass",
@@ -80,21 +80,13 @@ def scaled_metric_d(f1: Psd, f2: Psd) -> float:
     this is a metric on densities themselves rather than on rays.
     """
     d = geodesic_distance(f1, f2)
-    return d + abs(grid_mean(f1.grid, f1.values) - grid_mean(f2.grid, f2.values))
+    return d + abs(arithmetic_mean(f1) - arithmetic_mean(f2))
 
 
 def _ratio_or_none(f1: Psd, f2: Psd) -> np.ndarray | None:
     """f1/f2 samplewise with ratio 1 at shared zeros, or None when the zero
     sets differ (all log-based divergences are then infinite)."""
-    _require_same_grid(f1, f2)
-    if f1.zero_set != f2.zero_set:
-        return None
-    if f1.zero_set:
-        ratio = np.ones(f1.grid.n)
-        nz = f1.values != 0.0
-        ratio[nz] = f1.values[nz] / f2.values[nz]
-        return ratio
-    return f1.values / f2.values
+    return _on_common_support(f1, f2, np.divide, 1.0)
 
 
 def divergence_ag(f1: Psd, f2: Psd) -> float:
@@ -152,13 +144,8 @@ def prediction_ratio(f1: Psd, f2: Psd) -> float:
     return float(np.mean(ratio) / np.exp(np.mean(np.log(ratio))))
 
 
-def riemannian_form(f: Psd, delta) -> float:
-    """Quadratic form central_variance(delta / f): the second-order expansion
-    shared by divergence_ag, divergence_sym and (rescaled) divergence_rs.
-
-    Degenerate exactly along the scaling direction ``delta = c*f``; that is
-    the infinitesimal face of the metric's scale-blindness.
-    """
+def _check_delta(f: Psd, delta) -> np.ndarray:
+    """Validate a perturbation of the strictly positive density ``f``."""
     if f.zero_set:
         raise ValueError("density must be strictly positive")
     d = np.asarray(delta, dtype=float)
@@ -166,6 +153,17 @@ def riemannian_form(f: Psd, delta) -> float:
         raise ValueError(f"delta must be a vector of length {f.grid.n}, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("delta must be finite")
+    return d
+
+
+def riemannian_form(f: Psd, delta) -> float:
+    """Quadratic form central_variance(delta / f): the second-order expansion
+    shared by divergence_ag, divergence_sym and (rescaled) divergence_rs.
+
+    Degenerate exactly along the scaling direction ``delta = c*f``; that is
+    the infinitesimal face of the metric's scale-blindness.
+    """
+    d = _check_delta(f, delta)
     return central_variance(f.grid, d / f.values)
 
 
@@ -177,13 +175,7 @@ def fisher_form(f: Psd, delta) -> float:
     from :func:`riemannian_form`; the two coincide on ``f = 1`` with
     zero-mean ``delta`` and disagree in general.
     """
-    if f.zero_set:
-        raise ValueError("density must be strictly positive")
-    d = np.asarray(delta, dtype=float)
-    if d.ndim != 1 or d.shape[0] != f.grid.n:
-        raise ValueError(f"delta must be a vector of length {f.grid.n}, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("delta must be finite")
+    d = _check_delta(f, delta)
     f_mean = float(np.mean(f.values))
     if abs(f_mean - 1.0) > _FISHER_NORM_TOL:
         raise ValueError(

@@ -12,7 +12,7 @@ class SpectralError(Exception):
 
 
 class UnstableModelError(SpectralError):
-    """Autoregressive polynomial vanishes (or nearly so) on the unit circle."""
+    """Autoregressive polynomial has a root on or outside the unit circle."""
 
 
 class NoFiniteGeodesicError(SpectralError):

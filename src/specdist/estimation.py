@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, _transform_power
 from .spectra import Psd, psd_from_samples
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
@@ -44,24 +44,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
-    """|sum_t x_t e^{-i t theta_k}|^2 at the grid nodes theta_k = -pi + 2 pi k / n.
-
-    Since e^{-i t theta_k} = (-1)^t e^{-2 pi i t k / n}, the sum equals an
-    n-point DFT of the sign-alternated signal folded modulo n; the fold is
-    exact for any signal length.
-    """
-    signed = x * np.where(np.arange(x.size) % 2, -1.0, 1.0)
-    if signed.size <= n:
-        folded = np.zeros(n)
-        folded[: signed.size] = signed
-    else:
-        padded = np.zeros(-(-signed.size // n) * n)
-        padded[: signed.size] = signed
-        folded = padded.reshape(-1, n).sum(axis=0)
-    return np.abs(np.fft.fft(folded)) ** 2
 
 
 def periodogram(ts: TimeSeries, grid: FrequencyGrid) -> Psd:

@@ -96,12 +96,26 @@ def central_variance(grid: FrequencyGrid, samples) -> float:
     because near-constant sample vectors (proportional densities) must come
     out at variance ~0 rather than at the subtraction's rounding residue.
     The centered form is a mean of squares, so the result is nonnegative by
-    construction; a negative value can only mean memory corruption and is
-    still guarded.
+    construction.
     """
     x = _as_samples(grid, samples)
     centered = x - float(np.mean(x))
-    var = float(np.mean(centered * centered))
-    if var < 0.0:
-        raise RuntimeError(f"variance {var} negative; internal inconsistency")
-    return var
+    return float(np.mean(centered * centered))
+
+
+def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
+    """|sum_t x_t e^{-i t theta_k}|^2 at the grid nodes theta_k = -pi + 2 pi k / n.
+
+    Since e^{-i t theta_k} = (-1)^t e^{-2 pi i t k / n}, the sum equals an
+    n-point DFT of the sign-alternated signal folded modulo n; the fold is
+    exact for any signal length.
+    """
+    signed = x * np.where(np.arange(x.size) % 2, -1.0, 1.0)
+    if signed.size <= n:
+        folded = np.zeros(n)
+        folded[: signed.size] = signed
+    else:
+        padded = np.zeros(-(-signed.size // n) * n)
+        padded[: signed.size] = signed
+        folded = padded.reshape(-1, n).sum(axis=0)
+    return np.abs(np.fft.fft(folded)) ** 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, _transform_power
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -152,7 +152,6 @@ def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:
     """Error variance of running predictor ``pred`` on a process with
     density ``f``: mean(|1 - sum_l coeffs[l-1] e^{-i l theta}|^2 * f).
 
-    Evaluated through the real cosine/sine expansion of the error filter.
     The grid must resolve that filter: n > 2 * order.
     """
     if f.grid.n <= 2 * pred.order:
@@ -160,14 +159,8 @@ def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:
             f"grid with n = {f.grid.n} is too coarse for an order-{pred.order} "
             "error filter (needs n > 2*order)"
         )
-    if pred.order:
-        lags = np.arange(1, pred.order + 1)
-        phase = np.outer(f.grid.nodes, lags)
-        cos_part = 1.0 - np.cos(phase) @ pred.coeffs
-        sin_part = np.sin(phase) @ pred.coeffs
-        gain = cos_part**2 + sin_part**2
-    else:
-        gain = np.ones(f.grid.n)
+    error_filter = np.concatenate(([1.0], -np.asarray(pred.coeffs, dtype=float)))
+    gain = _transform_power(error_filter, f.grid.n)
     return float(np.mean(gain * f.values))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizableError, UnstableModelError
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, _transform_power
 
 __all__ = [
     "Psd",
@@ -30,11 +30,6 @@ __all__ = [
     "arithmetic_mean",
     "normalize_to_ray",
 ]
-
-# Stability proxy for AR models: the spectrum is rejected when the AR
-# polynomial comes this close to the unit circle at any grid node.
-_MIN_AR_MODULUS = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class Psd:
@@ -112,6 +107,26 @@ def psd_constant(grid: FrequencyGrid, level: float) -> Psd:
     return psd_from_samples(grid, np.full(grid.n, float(level)))
 
 
+def _require_stable(a: np.ndarray) -> None:
+    """Raise UnstableModelError unless every root of A(z) = 1 - sum_l a[l-1] z^{-l}
+    lies strictly inside the unit circle.
+
+    Step-down (reverse Levinson) recursion: the order-m predictor's last
+    coefficient is its reflection coefficient k_m, and removing it gives the
+    order-(m-1) predictor.  A is stable iff |k_m| < 1 at every order.
+    """
+    c = a
+    for m in range(a.size, 0, -1):
+        k = c[-1]
+        if not abs(k) < 1.0:
+            raise UnstableModelError(
+                f"AR model is not stable: reflection coefficient k_{m} = {k:.6g} "
+                "has modulus >= 1"
+            )
+        head = c[:-1]
+        c = (head + k * head[::-1]) / (1.0 - k * k)
+
+
 def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
     """Spectrum sigma2 / |A(e^{i theta})|^2 of the autoregression
     u(0) = sum_l a[l-1] * u(-l) + innovation.
@@ -123,29 +138,20 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
     Raises
     ------
     UnstableModelError
-        If ``|A|`` drops below 1e-8 anywhere on the grid (root on or near
-        the unit circle at the resolution actually used).
+        If some root of ``A`` lies on or outside the unit circle (a
+        reflection coefficient of modulus >= 1), so that no stationary
+        process has this spectrum.
     ValueError
         If ``sigma2 <= 0``.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.size and (a.ndim != 1 or not np.all(np.isfinite(a))):
+    if a.ndim != 1 or not np.all(np.isfinite(a)):
         raise ValueError("AR coefficients must be a finite real vector")
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
-    if a.size:
-        lags = np.arange(1, a.size + 1)
-        transfer = 1.0 - np.exp(-1j * np.outer(grid.nodes, lags)) @ a.astype(complex)
-        modulus = np.abs(transfer)
-        if modulus.min() <= _MIN_AR_MODULUS:
-            raise UnstableModelError(
-                f"AR polynomial modulus reaches {modulus.min():.3e} on the grid; "
-                "model is unstable at this resolution"
-            )
-        values = sigma2 / modulus**2
-    else:
-        values = np.full(grid.n, float(sigma2))
-    return psd_from_samples(grid, values)
+    _require_stable(a)
+    power = _transform_power(np.concatenate(([1.0], -a)), grid.n)
+    return psd_from_samples(grid, sigma2 / power)
 
 
 def _require_same_grid(f1: Psd, f2: Psd) -> None:
@@ -155,6 +161,20 @@ def _require_same_grid(f1: Psd, f2: Psd) -> None:
         )
 
 
+def _on_common_support(f1: Psd, f2: Psd, op, fill: float) -> np.ndarray | None:
+    """op(f1.values, f2.values) samplewise, with ``fill`` at shared zeros,
+    or None when the zero sets differ."""
+    _require_same_grid(f1, f2)
+    if f1.zero_set != f2.zero_set:
+        return None
+    if not f1.zero_set:
+        return op(f1.values, f2.values)
+    out = np.full(f1.grid.n, fill)
+    nz = f1.values != 0.0
+    out[nz] = op(f1.values[nz], f2.values[nz])
+    return out
+
+
 def log_ratio(f1: Psd, f2: Psd) -> LogRatio:
     """Pointwise log(f1/f2) with the zero conventions described on
     :class:`LogRatio`.
@@ -162,16 +182,8 @@ def log_ratio(f1: Psd, f2: Psd) -> LogRatio:
     Computed as log(f1) - log(f2) so that swapping the arguments negates the
     samples exactly, which keeps the induced distance exactly symmetric.
     """
-    _require_same_grid(f1, f2)
-    if f1.zero_set != f2.zero_set:
-        return LogRatio(samples=None)
-    if f1.zero_set:
-        out = np.zeros(f1.grid.n)
-        nz = f1.values != 0.0
-        out[nz] = np.log(f1.values[nz]) - np.log(f2.values[nz])
-    else:
-        out = np.log(f1.values) - np.log(f2.values)
-    return LogRatio(samples=_freeze(out))
+    out = _on_common_support(f1, f2, lambda v1, v2: np.log(v1) - np.log(v2), 0.0)
+    return LogRatio(samples=None if out is None else _freeze(out))
 
 
 def generalized_mean(f: Psd, r: float) -> float:

@@ -61,3 +61,14 @@ def psd_with_zero_at(grid, index, base=1.0):
     values = np.full(grid.n, float(base))
     values[index] = 0.0
     return psd_from_samples(grid, values)
+
+
+def stable_ar_coeffs(rng, q):
+    """Coefficients of a stable AR(q) model, stepped up by the Levinson
+    recursion from reflection coefficients drawn in (-0.7, 0.7)."""
+    coeffs = np.zeros(q)
+    for m, k in enumerate(rng.uniform(-0.7, 0.7, q), start=1):
+        head = coeffs[: m - 1]
+        coeffs[: m - 1] = head - k * head[::-1]
+        coeffs[m - 1] = k
+    return coeffs

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from specdist.grid import central_variance, make_grid, mean
+from specdist.grid import _transform_power, central_variance, make_grid, mean
 
-from oracles import reference_mean
+from oracles import naive_dtft_power, reference_mean
 
 
 def test_smallest_grid():
@@ -135,3 +135,14 @@ def test_reference_rule_agrees_with_grid_rule():
     g = make_grid(4096)
     fn = lambda t: np.exp(np.cos(t)) / (1.25 - np.cos(t))
     assert mean(g, fn(g.nodes)) == pytest.approx(reference_mean(fn), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "length,n",
+    [(5, 64), (63, 64), (64, 64), (65, 64), (300, 64), (16, 17), (17, 17), (40, 17)],
+)
+def test_transform_power_matches_dense_sum(length, n):
+    # signals shorter than, as long as and longer than the grid (the fold)
+    x = np.random.default_rng(length * n).standard_normal(length)
+    ref = naive_dtft_power(x, n)
+    np.testing.assert_allclose(_transform_power(x, n), ref, rtol=1e-12, atol=1e-12 * ref.max())

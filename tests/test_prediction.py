@@ -17,6 +17,7 @@ from specdist import (
     rho_empirical,
 )
 
+from conftest import stable_ar_coeffs
 from oracles import BESSEL_I1_1, naive_toeplitz_predictor, reference_mean
 
 
@@ -138,6 +139,22 @@ class TestDegradedVariance:
             np.testing.assert_allclose(pred.coeffs[2:], 0.0, atol=1e-10)
             assert degraded_variance(f, pred) == pytest.approx(2.0, rel=1e-10)
             assert pred.attained_variance == pytest.approx(2.0, rel=1e-10)
+
+    def test_order_zero_predictor_gives_total_power(self, ar_half):
+        pred = PredictorCoeffs(order=0, coeffs=[], attained_variance=1.0)
+        assert degraded_variance(ar_half, pred) == np.mean(ar_half.values)
+
+    @pytest.mark.parametrize("p", [1, 16, 64])
+    def test_matches_dense_error_filter(self, grid1024, p):
+        rng = np.random.default_rng(70 + p)
+        for _ in range(20):
+            f1 = psd_from_ar(stable_ar_coeffs(rng, int(rng.integers(1, 9))), 1.0, grid1024)
+            f2 = psd_from_ar(stable_ar_coeffs(rng, int(rng.integers(1, 9))), 1.0, grid1024)
+            pred = levinson(autocov_from_psd(f2, p), p)
+            phase = np.outer(grid1024.nodes, np.arange(1, p + 1))
+            gain = (1.0 - np.cos(phase) @ pred.coeffs) ** 2 + (np.sin(phase) @ pred.coeffs) ** 2
+            expected = float(np.mean(gain * f1.values))
+            assert degraded_variance(f1, pred) == pytest.approx(expected, rel=1e-12)
 
     def test_coarse_grid_is_rejected(self):
         g = make_grid(16)

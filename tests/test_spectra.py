@@ -14,7 +14,7 @@ from specdist import (
     psd_from_samples,
 )
 
-from conftest import psd_with_zero_at, random_positive_spectrum
+from conftest import psd_with_zero_at, random_positive_spectrum, stable_ar_coeffs
 from oracles import BESSEL_I0_1, bessel_i0, bessel_i1, dilog
 
 
@@ -74,6 +74,37 @@ class TestAutoregressive:
     def test_unit_root_is_rejected(self, grid64):
         with pytest.raises(UnstableModelError):
             psd_from_ar([1.0], 1.0, grid64)
+
+    @pytest.mark.parametrize("a", [[2.0], [0.5, 1.2]])
+    def test_explosive_models_are_rejected(self, grid4096, a):
+        with pytest.raises(UnstableModelError):
+            psd_from_ar(a, 1.0, grid4096)
+
+    def test_stability_agrees_with_the_roots(self, grid64):
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            a = rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
+            radius = np.abs(np.roots(np.concatenate(([1.0], -a)))).max()
+            if abs(radius - 1.0) < 1e-6:
+                continue
+            if radius < 1.0:
+                psd_from_ar(a, 1.0, grid64)
+            else:
+                with pytest.raises(UnstableModelError):
+                    psd_from_ar(a, 1.0, grid64)
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_matches_dense_transfer_function(self, n):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            a = stable_ar_coeffs(rng, int(rng.integers(1, 9)))
+            sigma2 = float(rng.uniform(0.5, 2.0))
+            lags = np.arange(1, a.size + 1)
+            transfer = 1.0 - np.exp(-1j * np.outer(grid.nodes, lags)) @ a.astype(complex)
+            np.testing.assert_allclose(
+                psd_from_ar(a, sigma2, grid).values, sigma2 / np.abs(transfer) ** 2, rtol=1e-12
+            )
 
     def test_bad_innovation_variance_is_rejected(self, grid64):
         with pytest.raises(ValueError, match="positive"):
