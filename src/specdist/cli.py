@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SpectralError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (SpectralError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

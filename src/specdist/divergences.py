@@ -6,13 +6,15 @@ pseudo-metric on densities (blind to positive scaling) and a metric on
 rays.  Around it sit the prediction-theoretic divergences (arithmetic-
 over-geometric mean of the ratio and its relatives), the quadratic form
 they all share to second order, and the Fisher information form kept here
-for contrast.
+for contrast.  The distance and the divergences are all computed from
+:func:`~specdist.spectra.log_ratio` (the divergences as gaps between log
+power means), never from the ratio itself, so none overflows.
 
 All functions return plain floats; ``math.inf`` encodes the completed
 value assigned when the log-ratio fails to exist (the two densities
-vanish on different sets).  IEEE arithmetic already provides the extended
-semantics the completion needs: ``inf + x == inf`` and ``inf > x`` for
-every finite ``x``.
+vanish on different sets), and only then.  IEEE arithmetic already
+provides the extended semantics the completion needs: ``inf + x == inf``
+and ``inf > x`` for every finite ``x``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from .grid import central_variance
-from .spectra import Psd, _on_common_support, arithmetic_mean, log_ratio
+from .spectra import Psd, _log_power_mean, arithmetic_mean, log_ratio
 
 __all__ = [
     "SpectrumClass",
@@ -83,12 +85,6 @@ def scaled_metric_d(f1: Psd, f2: Psd) -> float:
     return d + abs(arithmetic_mean(f1) - arithmetic_mean(f2))
 
 
-def _ratio_or_none(f1: Psd, f2: Psd) -> np.ndarray | None:
-    """f1/f2 samplewise with ratio 1 at shared zeros, or None when the zero
-    sets differ (all log-based divergences are then infinite)."""
-    return _on_common_support(f1, f2, np.divide, 1.0)
-
-
 def divergence_ag(f1: Psd, f2: Psd) -> float:
     """log of arithmetic mean minus mean of log of the ratio f1/f2.
 
@@ -96,10 +92,10 @@ def divergence_ag(f1: Psd, f2: Psd) -> float:
     either density vanishes where the other does not (the arithmetic term
     or the geometric term diverges).  Not symmetric in its arguments.
     """
-    ratio = _ratio_or_none(f1, f2)
-    if ratio is None:
+    lr = log_ratio(f1, f2)
+    if not lr.defined:
         return math.inf
-    return float(np.log(np.mean(ratio)) - np.mean(np.log(ratio)))
+    return _log_power_mean(lr.samples, 1.0) - _log_power_mean(lr.samples, 0.0)
 
 
 def divergence_sym(f1: Psd, f2: Psd) -> float:
@@ -121,27 +117,24 @@ def divergence_rs(f1: Psd, f2: Psd, r: float, s: float) -> float:
         raise ValueError("power-mean orders must be nonzero (the 0 limit is the geometric mean)")
     if r == s:
         raise ValueError("power-mean orders must be distinct")
-    ratio = _ratio_or_none(f1, f2)
-    if ratio is None:
+    lr = log_ratio(f1, f2)
+    if not lr.defined:
         return math.inf
-    log_power_mean_r = np.log(np.mean(ratio**r)) / r
-    log_power_mean_s = np.log(np.mean(ratio**s)) / s
-    return float(log_power_mean_r - log_power_mean_s)
+    return _log_power_mean(lr.samples, r) - _log_power_mean(lr.samples, s)
 
 
 def prediction_ratio(f1: Psd, f2: Psd) -> float:
-    """Arithmetic over geometric mean of f1/f2; equals exp(divergence_ag).
+    """Arithmetic over geometric mean of f1/f2, computed as exp(divergence_ag).
 
     This is the factor by which one-step prediction error variance degrades
     when the predictor is designed for ``f2`` but the process actually has
-    density ``f1``.  Always >= 1 when finite; 1 iff the ratio is constant.
-    The finite-order construction in :mod:`specdist.prediction` converges to
-    this value and serves as its independent check.
+    density ``f1``.  Always >= 1 when finite; 1 iff the ratio is constant;
+    ``inf`` iff the zero sets differ; ``OverflowError`` if it is finite but
+    too large for a double.  The finite-order construction in
+    :mod:`specdist.prediction` converges to this value and serves as its
+    independent check.
     """
-    ratio = _ratio_or_none(f1, f2)
-    if ratio is None:
-        return math.inf
-    return float(np.mean(ratio) / np.exp(np.mean(np.log(ratio))))
+    return math.exp(divergence_ag(f1, f2))
 
 
 def _check_delta(f: Psd, delta) -> np.ndarray:

@@ -129,21 +129,16 @@ def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
     coeffs = np.zeros(p)
     variance = float(c[0])
     for m in range(1, p + 1):
-        if variance <= 0.0:
-            raise DegenerateCovarianceError(
-                f"prediction error variance hit {variance} at order {m - 1}; "
-                "covariance sequence is degenerate"
-            )
         k = (c[m] - coeffs[: m - 1] @ c[m - 1 : 0 : -1]) / variance
         if m > 1:
             coeffs[: m - 1] -= k * coeffs[m - 2 :: -1]
         coeffs[m - 1] = k
         variance *= 1.0 - k * k
-    if variance <= 0.0:
-        raise DegenerateCovarianceError(
-            f"prediction error variance hit {variance} at order {p}; "
-            "covariance sequence is degenerate"
-        )
+        if variance <= 0.0:
+            raise DegenerateCovarianceError(
+                f"prediction error variance hit {variance} at order {m}; "
+                "covariance sequence is degenerate"
+            )
     coeffs.setflags(write=False)
     return PredictorCoeffs(order=p, coeffs=coeffs, attained_variance=variance)
 

@@ -10,6 +10,7 @@ would silently change the metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,8 @@ class LogRatio:
     the two densities; the log-ratio then fails to be square-summable in the
     limit and the geodesic distance is infinite.  At shared zeros the ratio
     is taken to be one (samples entry 0), so a density stays at distance
-    zero from itself.
+    zero from itself.  Every distance and divergence in
+    :mod:`specdist.divergences` is a functional of these samples.
     """
 
     samples: np.ndarray | None
@@ -161,20 +163,6 @@ def _require_same_grid(f1: Psd, f2: Psd) -> None:
         )
 
 
-def _on_common_support(f1: Psd, f2: Psd, op, fill: float) -> np.ndarray | None:
-    """op(f1.values, f2.values) samplewise, with ``fill`` at shared zeros,
-    or None when the zero sets differ."""
-    _require_same_grid(f1, f2)
-    if f1.zero_set != f2.zero_set:
-        return None
-    if not f1.zero_set:
-        return op(f1.values, f2.values)
-    out = np.full(f1.grid.n, fill)
-    nz = f1.values != 0.0
-    out[nz] = op(f1.values[nz], f2.values[nz])
-    return out
-
-
 def log_ratio(f1: Psd, f2: Psd) -> LogRatio:
     """Pointwise log(f1/f2) with the zero conventions described on
     :class:`LogRatio`.
@@ -182,12 +170,31 @@ def log_ratio(f1: Psd, f2: Psd) -> LogRatio:
     Computed as log(f1) - log(f2) so that swapping the arguments negates the
     samples exactly, which keeps the induced distance exactly symmetric.
     """
-    out = _on_common_support(f1, f2, lambda v1, v2: np.log(v1) - np.log(v2), 0.0)
-    return LogRatio(samples=None if out is None else _freeze(out))
+    _require_same_grid(f1, f2)
+    if f1.zero_set != f2.zero_set:
+        return LogRatio(samples=None)
+    if not f1.zero_set:
+        return LogRatio(samples=_freeze(np.log(f1.values) - np.log(f2.values)))
+    out = np.zeros(f1.grid.n)
+    nz = f1.values != 0.0
+    out[nz] = np.log(f1.values[nz]) - np.log(f2.values[nz])
+    return LogRatio(samples=_freeze(out))
+
+
+def _log_power_mean(logs: np.ndarray, r: float) -> float:
+    """log of the power mean (mean(x^r))^(1/r) of x = exp(logs), or mean(logs)
+    for r = 0.  The largest r*log x is factored out, so no x^r is formed and x
+    may lie far outside the double range; -inf logs (zeros) need r > 0."""
+    if r == 0.0:
+        return float(np.mean(logs))
+    scaled = r * logs
+    peak = scaled.max()
+    return float((peak + np.log(np.mean(np.exp(scaled - peak)))) / r)
 
 
 def generalized_mean(f: Psd, r: float) -> float:
-    """Power mean (mean(f^r))^(1/r) of the density over the grid measure.
+    """Power mean (mean(f^r))^(1/r) of the density over the grid measure,
+    computed from log f so that no f^r overflows.
 
     ``r = 0`` is excluded (its limit is :func:`geometric_mean`); negative
     ``r`` requires a strictly positive density.
@@ -199,7 +206,9 @@ def generalized_mean(f: Psd, r: float) -> float:
         raise ZeroDivisionError(
             "negative-power mean of a density with zeros would divide by zero"
         )
-    return float(np.mean(f.values**r) ** (1.0 / r))
+    with np.errstate(divide="ignore"):
+        logs = np.log(f.values)
+    return math.exp(_log_power_mean(logs, r))
 
 
 def geometric_mean(f: Psd) -> float:

@@ -6,6 +6,8 @@ staggered grid for integrals, direct DTFT and dense Toeplitz solves for
 the transform and prediction checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -29,6 +31,19 @@ def bessel_i1(x: float, tol: float = 1e-16) -> float:
         term *= (x / 2.0) ** 2 / (k * (k + 1))
         if term < tol * total:
             return total
+
+
+def log_bessel_i0(x: float) -> float:
+    """log I_0(x) for x > 0 as a logsumexp over the series terms
+    (x/2)^{2k} / (k!)^2, so it stays finite where I_0 overflows a double.
+
+    The terms peak near k = x/2; summing to k = x + 60 leaves out less than
+    a double's resolution.
+    """
+    k = np.arange(int(x) + 61)
+    logs = 2.0 * k * math.log(x / 2.0) - 2.0 * np.array([math.lgamma(i + 1.0) for i in k])
+    peak = logs.max()
+    return float(peak + math.log(math.fsum(np.exp(logs - peak))))
 
 
 def dilog(x: float, tol: float = 1e-14) -> float:

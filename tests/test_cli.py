@@ -78,6 +78,12 @@ class TestDist:
         assert code == 0
         assert float(out) == pytest.approx(0.17608241223429952, rel=1e-11)
 
+    def test_high_power_mean_order_stays_finite(self, capsys):
+        code, out, _ = run(
+            capsys, "dist", "--metric", "rs", "--r", 300, "--s", 1, "expcos:3", "const:1"
+        )
+        assert (code, out) == (0, "1.40029238836\n")
+
     def test_equal_orders_are_usage_error(self, capsys, fixtures):
         code, _, err = run(
             capsys,
@@ -260,6 +266,12 @@ class TestRho:
         code, out, _ = run(capsys, "rho", "const:1", "ar:0.5:1", "--grid", 1024)
         assert code == 0
         assert float(out) == pytest.approx(1.25, rel=1e-11)
+
+    def test_ratio_beyond_double_range_is_a_domain_error(self, capsys):
+        # log rho = log I_0(715) is about 711, past the largest double
+        code, out, err = run(capsys, "rho", "expcos:700", "expcos:-15")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 def test_cli_output_is_deterministic(capsys, fixtures):

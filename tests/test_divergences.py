@@ -21,7 +21,7 @@ from specdist import (
 )
 
 from conftest import psd_with_zero_at, random_positive_spectrum
-from oracles import BESSEL_I0_1, BESSEL_I0_2, BESSEL_I1_1, DILOG_QUARTER
+from oracles import BESSEL_I0_1, BESSEL_I0_2, BESSEL_I1_1, DILOG_QUARTER, log_bessel_i0
 
 
 def scaled(f, kappa):
@@ -269,6 +269,89 @@ class TestPredictionRatio:
             f1 = random_positive_spectrum(rng, grid1024)
             f2 = random_positive_spectrum(rng, grid1024)
             assert prediction_ratio(f1, f2) >= 1.0
+
+
+def ratio_or_none(f1, f2):
+    """f1/f2 with ratio 1 at shared zeros, or None when the zero sets differ:
+    the ratio-domain path the divergences were once computed on."""
+    if f1.zero_set != f2.zero_set:
+        return None
+    ratio = np.ones(f1.grid.n)
+    nz = f1.values != 0.0
+    ratio[nz] = f1.values[nz] / f2.values[nz]
+    return ratio
+
+
+def ratio_domain_ag(ratio):
+    return float(np.log(np.mean(ratio)) - np.mean(np.log(ratio)))
+
+
+def ratio_domain_rs(ratio, r, s):
+    return float(np.log(np.mean(ratio**r)) / r - np.log(np.mean(ratio**s)) / s)
+
+
+def ratio_domain_prediction_ratio(ratio):
+    return float(np.mean(ratio) / np.exp(np.mean(np.log(ratio))))
+
+
+def with_zeros_at(f, indices):
+    values = np.array(f.values)
+    values[indices] = 0.0
+    return psd_from_samples(f.grid, values)
+
+
+class TestLogDomain:
+    """The divergences are log-domain functionals of log_ratio: they agree
+    with the ratio-domain formulas wherever those are finite, and stay finite
+    where those overflow."""
+
+    def test_high_order_power_mean_gap_does_not_overflow(self, grid4096):
+        # log(mean(ratio^300)) is log I_0(900), far beyond the double range
+        f1 = psd_from_samples(grid4096, np.exp(3.0 * np.cos(grid4096.nodes)))
+        f2 = psd_constant(grid4096, 1.0)
+        expected = log_bessel_i0(900.0) / 300.0 - log_bessel_i0(3.0)
+        assert divergence_rs(f1, f2, 300.0, 1.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_extreme_scalings_are_blind(self, expcos):
+        f1 = scaled(expcos, 1e200)
+        f2 = scaled(expcos, 1e-200)
+        assert divergence_ag(f1, f2) == pytest.approx(0.0, abs=1e-12)
+        assert divergence_sym(f1, f2) == pytest.approx(0.0, abs=1e-12)
+        assert divergence_rs(f1, f2, 2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert divergence_rs(f1, f2, 1.0, -1.0) == pytest.approx(0.0, abs=1e-12)
+        assert prediction_ratio(f1, f2) == pytest.approx(1.0, rel=1e-12)
+
+    def test_ratio_beyond_double_range_raises(self, grid4096):
+        f1 = psd_from_samples(grid4096, np.exp(700.0 * np.cos(grid4096.nodes)))
+        f2 = psd_from_samples(grid4096, np.exp(-15.0 * np.cos(grid4096.nodes)))
+        assert divergence_ag(f1, f2) == pytest.approx(log_bessel_i0(715.0), rel=1e-12)
+        with pytest.raises(OverflowError):
+            prediction_ratio(f1, f2)
+
+    def test_differing_zero_sets_still_give_inf(self, grid64):
+        f1 = psd_with_zero_at(grid64, 3)
+        f2 = psd_constant(grid64, 1.0)
+        assert prediction_ratio(f1, f2) == math.inf
+        assert prediction_ratio(f2, f1) == math.inf
+
+    @pytest.mark.parametrize("zeros", [[], [0], [5, 6, 7, 300], list(range(100, 164))])
+    def test_matches_the_ratio_domain_formulas(self, grid1024, zeros):
+        rng = np.random.default_rng(23 + len(zeros))
+        for _ in range(20):
+            f1 = with_zeros_at(random_positive_spectrum(rng, grid1024), zeros)
+            f2 = with_zeros_at(random_positive_spectrum(rng, grid1024), zeros)
+            ratio = ratio_or_none(f1, f2)
+            assert divergence_ag(f1, f2) == pytest.approx(ratio_domain_ag(ratio), rel=1e-12)
+            assert divergence_sym(f1, f2) == pytest.approx(
+                ratio_domain_ag(ratio) + ratio_domain_ag(1.0 / ratio), rel=1e-12
+            )
+            for r, s in [(2.0, 1.0), (1.0, -1.0), (3.0, 2.0), (-1.0, -2.0), (0.5, -0.5)]:
+                assert divergence_rs(f1, f2, r, s) == pytest.approx(
+                    ratio_domain_rs(ratio, r, s), rel=1e-12
+                )
+            assert prediction_ratio(f1, f2) == pytest.approx(
+                ratio_domain_prediction_ratio(ratio), rel=1e-12
+            )
 
 
 class TestQuadraticForms:

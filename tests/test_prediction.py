@@ -111,7 +111,7 @@ class TestLevinson:
     def test_degenerate_sequence_is_rejected(self, grid1024):
         # a cosine line spectrum: |c_1| = c_0, singular at order 2
         acv = Autocovariance(lags=np.array([1.0, 1.0, 1.0]), grid=grid1024)
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match="at order 1;"):
             levinson(acv, 2)
 
     def test_order_beyond_available_lags_is_rejected(self, ar_half):

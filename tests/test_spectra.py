@@ -15,7 +15,7 @@ from specdist import (
 )
 
 from conftest import psd_with_zero_at, random_positive_spectrum, stable_ar_coeffs
-from oracles import BESSEL_I0_1, bessel_i0, bessel_i1, dilog
+from oracles import BESSEL_I0_1, bessel_i0, bessel_i1, dilog, log_bessel_i0
 
 
 class TestConstruction:
@@ -159,6 +159,24 @@ class TestMeans:
         f = psd_constant(grid64, 3.5)
         assert generalized_mean(f, r) == pytest.approx(3.5, rel=1e-14)
 
+    def test_high_order_mean_does_not_overflow(self, grid4096):
+        # mean(f^400) of exp(3 cos) is I_0(1200), far beyond the double range
+        f = psd_from_samples(grid4096, np.exp(3.0 * np.cos(grid4096.nodes)))
+        expected = np.exp(log_bessel_i0(1200.0) / 400.0)
+        assert generalized_mean(f, 400.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [-3.0, -0.5, 0.5, 1.0, 2.0, 7.0])
+    def test_matches_the_power_domain_formula(self, grid1024, r):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            f = random_positive_spectrum(rng, grid1024)
+            expected = np.mean(f.values**r) ** (1.0 / r)
+            assert generalized_mean(f, r) == pytest.approx(expected, rel=1e-12)
+
+    def test_positive_order_mean_with_zeros(self, grid64):
+        f = psd_with_zero_at(grid64, 4, base=2.0)
+        assert generalized_mean(f, 2.0) == pytest.approx(2.0 * np.sqrt(63 / 64), rel=1e-14)
+
     def test_geometric_mean_of_constant(self, grid64):
         assert geometric_mean(psd_constant(grid64, 3.5)) == pytest.approx(3.5, rel=1e-14)
 
@@ -232,3 +250,5 @@ def test_oracles_self_consistent():
     assert bessel_i0(2.0) == pytest.approx(2.279585302336067, rel=1e-15)
     assert bessel_i1(1.0) == pytest.approx(0.565159103992485, rel=1e-15)
     assert dilog(0.25) == pytest.approx(0.2676526390827319, rel=1e-13)
+    for x in (1.0, 2.0, 3.0, 30.0):
+        assert log_bessel_i0(x) == pytest.approx(np.log(bessel_i0(x)), rel=1e-14)
