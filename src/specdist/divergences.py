@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import central_variance
+from .grid import _as_samples, central_variance
 from .spectra import Psd, _log_power_mean, arithmetic_mean, log_ratio
 
 __all__ = [
@@ -134,19 +134,20 @@ def prediction_ratio(f1: Psd, f2: Psd) -> float:
     :mod:`specdist.prediction` converges to this value and serves as its
     independent check.
     """
-    return math.exp(divergence_ag(f1, f2))
+    ag = divergence_ag(f1, f2)
+    try:
+        return math.exp(ag)
+    except OverflowError:
+        raise OverflowError(
+            f"prediction ratio exp({ag:.6g}) exceeds the double range"
+        ) from None
 
 
 def _check_delta(f: Psd, delta) -> np.ndarray:
     """Validate a perturbation of the strictly positive density ``f``."""
     if f.zero_set:
         raise ValueError("density must be strictly positive")
-    d = np.asarray(delta, dtype=float)
-    if d.ndim != 1 or d.shape[0] != f.grid.n:
-        raise ValueError(f"delta must be a vector of length {f.grid.n}, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("delta must be finite")
-    return d
+    return _as_samples(f.grid, delta, "delta")
 
 
 def riemannian_form(f: Psd, delta) -> float:

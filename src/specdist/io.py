@@ -36,9 +36,13 @@ __all__ = [
 
 PSD_HEADER = ("theta", "psd")
 
+# Accepted headers, as stripped column names, and the columns read from each.
+_PSD_LAYOUT = {PSD_HEADER: (0, 1)}
+_SERIES_LAYOUTS = {("t", "value"): (1,), ("value",): (0,)}
+
 # Exact first lines that let a file take the vectorized parse.
 _PSD_HEADER_LINE = ",".join(PSD_HEADER) + "\n"
-_SERIES_HEADER_LINES = ("t,value\n", "value\n")
+_SERIES_HEADER_LINES = tuple(",".join(h) + "\n" for h in _SERIES_LAYOUTS)
 
 # Relative spacing jitter allowed before a frequency column is rejected.
 _SPACING_RTOL = 1e-9
@@ -106,6 +110,44 @@ def _numeric_table(path, headers: tuple[str, ...]) -> np.ndarray | None:
     return table
 
 
+def _read_rows(path, layouts: dict) -> tuple[np.ndarray, list[int]]:
+    """Row-by-row parse of a numeric CSV, raising on the first bad line.
+
+    ``layouts`` maps each accepted header to the columns read from it; the
+    other columns must be present but are not parsed.  Returns those columns
+    as an ``(n, len(columns))`` array of finite floats and the 1-based line
+    number of each row.
+    """
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        columns = None if header is None else layouts.get(tuple(c.strip() for c in header))
+        if columns is None:
+            expected = " or ".join(repr(",".join(h)) for h in layouts)
+            raise CsvParseError(f"{path}: line 1: expected header {expected}, got {header!r}")
+        for row in reader:
+            lineno = reader.line_num  # the row's last line, past quoted newlines
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvParseError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                values = [float(row[c]) for c in columns]
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}: line {lineno}: non-numeric field in {row!r}"
+                ) from None
+            if not all(map(math.isfinite, values)):
+                raise CsvParseError(f"{path}: line {lineno}: non-finite field")
+            rows.append(values)
+            lines.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, len(columns)), lines
+
+
 def read_psd_csv(path) -> Psd:
     """Read a PSD file back, validating the grid it claims to live on.
 
@@ -114,16 +156,22 @@ def read_psd_csv(path) -> Psd:
     CsvParseError
         Malformed header or row (message carries the 1-based line number).
     NegativeDensityError
-        A negative sample (with its line number).
+        A negative sample in a file whose rows all parse (with its line
+        number).
     InvalidGridError
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
     table = _numeric_table(path, (_PSD_HEADER_LINE,))
-    if table is not None and not np.any(table[:, 1] < 0.0):
-        thetas, values = table[:, 0], table[:, 1]
-    else:
-        thetas, values = _read_psd_rows(path)
+    if table is None or np.any(table[:, 1] < 0.0):
+        table, lines = _read_rows(path, _PSD_LAYOUT)
+        negative = np.flatnonzero(table[:, 1] < 0.0)
+        if negative.size:
+            i = negative[0]
+            raise NegativeDensityError(
+                f"{path}: line {lines[i]}: negative density value {float(table[i, 1])}"
+            )
+    thetas, values = table[:, 0], table[:, 1]
     n = len(thetas)
     if n < 2:
         raise CsvParseError(f"{path}: a PSD file needs at least 2 data rows, got {n}")
@@ -140,86 +188,18 @@ def read_psd_csv(path) -> Psd:
     return psd_from_samples(grid, values)
 
 
-def _read_psd_rows(path) -> tuple[list[float], list[float]]:
-    """Row-by-row parse of a PSD file, raising on the first bad line."""
-    thetas: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != list(PSD_HEADER):
-            raise CsvParseError(
-                f"{path}: line 1: expected header 'theta,psd', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                theta = float(row[0])
-                value = float(row[1])
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric field in {row!r}"
-                ) from None
-            if not (math.isfinite(theta) and math.isfinite(value)):
-                raise CsvParseError(f"{path}: line {lineno}: non-finite field")
-            if value < 0.0:
-                raise NegativeDensityError(
-                    f"{path}: line {lineno}: negative density value {value}"
-                )
-            thetas.append(theta)
-            values.append(value)
-    return thetas, values
-
-
 def read_timeseries_csv(path) -> TimeSeries:
-    """Read a signal from a ``t,value`` or single ``value`` column file."""
+    """Read a signal from a ``t,value`` or single ``value`` column file.
+
+    The ``t`` column must be present on every row but is not parsed.
+    """
     table = _numeric_table(path, _SERIES_HEADER_LINES)
-    if table is not None:
-        samples = np.ascontiguousarray(table[:, -1])
-    else:
-        samples = np.asarray(_read_timeseries_rows(path))
+    if table is None:
+        table, _ = _read_rows(path, _SERIES_LAYOUTS)
     try:
-        return TimeSeries(samples=samples, label=Path(path).stem)
+        return TimeSeries(samples=np.ascontiguousarray(table[:, -1]), label=Path(path).stem)
     except ValueError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
-
-
-def _read_timeseries_rows(path) -> list[float]:
-    """Row-by-row parse of a time-series file, raising on the first bad line."""
-    samples: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError(f"{path}: empty file")
-        cols = [c.strip() for c in header]
-        if cols == ["t", "value"]:
-            value_index = 1
-        elif cols == ["value"]:
-            value_index = 0
-        else:
-            raise CsvParseError(
-                f"{path}: line 1: expected header 't,value' or 'value', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != value_index + 1:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected {value_index + 1} fields, got {len(row)}"
-                )
-            try:
-                samples.append(float(row[value_index]))
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric value {row[value_index]!r}"
-                ) from None
-    return samples
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizableError, UnstableModelError
-from .grid import FrequencyGrid, _transform_power
+from .grid import FrequencyGrid, _as_samples, _transform_power
 
 __all__ = [
     "Psd",
@@ -86,17 +86,13 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
     """Validate a sample vector and wrap it as a density on ``grid``.
 
-    Raises ``ValueError`` (naming the first offending index) for negative or
-    non-finite entries, and for the all-zero vector.
+    Raises ``ValueError`` (naming the first offending index) for non-finite
+    entries, then for negative ones, and for the all-zero vector.
     """
-    v = np.array(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] != grid.n:
-        raise ValueError(
-            f"values must be a vector of length {grid.n}, got shape {v.shape}"
-        )
-    bad = ~np.isfinite(v) | (v < 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
+    v = _as_samples(grid, np.array(values, dtype=float), "values")
+    negative = np.flatnonzero(v < 0.0)
+    if negative.size:
+        i = int(negative[0])
         raise ValueError(f"values[{i}] = {v[i]}; density samples must be finite and >= 0")
     if not v.any():
         raise ValueError("the all-zero vector is not a density")

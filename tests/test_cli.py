@@ -272,6 +272,7 @@ class TestRho:
         code, out, err = run(capsys, "rho", "expcos:700", "expcos:-15")
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+        assert "prediction ratio" in err
 
 
 def test_cli_output_is_deterministic(capsys, fixtures):

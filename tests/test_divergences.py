@@ -382,6 +382,13 @@ class TestQuadraticForms:
         with pytest.raises(ValueError, match="length"):
             riemannian_form(flat_one, np.ones(7))
 
+    @pytest.mark.parametrize("form", [riemannian_form, fisher_form])
+    def test_non_finite_perturbation_is_rejected_with_index(self, grid4096, flat_one, form):
+        delta = np.zeros(grid4096.n)
+        delta[9] = np.nan
+        with pytest.raises(ValueError, match=r"delta\[9\] = nan is not finite"):
+            form(flat_one, delta)
+
     def test_fisher_flat_density(self, grid4096, flat_one):
         assert fisher_form(flat_one, np.cos(grid4096.nodes)) == pytest.approx(0.5, abs=1e-13)
 

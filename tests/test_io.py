@@ -121,6 +121,24 @@ class TestTimeSeriesRead:
         with pytest.raises(CsvParseError, match="line 3"):
             read_timeseries_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "ts.csv"
+        path.write_text(f"t,value\n0,1\n1,{value}\n2,3\n")
+        with pytest.raises(CsvParseError, match="line 3"):
+            read_timeseries_csv(path)
+
+    def test_line_numbers_count_quoted_newlines(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        path.write_text('value\n"1\n"\n2\nx\n')
+        with pytest.raises(CsvParseError, match="line 5"):
+            read_timeseries_csv(path)
+
+    def test_time_column_is_not_parsed(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        path.write_text("t,value\n2024-01-01,1\n2024-01-02,2\n")
+        np.testing.assert_array_equal(read_timeseries_csv(path).samples, [1.0, 2.0])
+
 
 _THETAS = [f"{t:.17g}" for t in -np.pi + np.pi / 2 * np.arange(4)]
 
@@ -184,6 +202,7 @@ SERIES_CORPUS = {
     "one_row": "value\n1\n",
     "negative_zero": "value\n-0.0\n1\n",
     "no_final_newline": "value\n1\n2",
+    "timestamp_t": "t,value\n2024-01-01,1\n2024-01-02,2\n",
 }
 
 

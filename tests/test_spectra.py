@@ -41,6 +41,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"values\[11\]"):
             psd_from_samples(grid64, values)
 
+    def test_non_finite_is_reported_before_an_earlier_negative(self, grid64):
+        values = np.ones(64)
+        values[3] = -1.0
+        values[20] = np.nan
+        with pytest.raises(ValueError, match=r"values\[20\] = nan is not finite"):
+            psd_from_samples(grid64, values)
+
     def test_all_zero_is_rejected(self, grid64):
         with pytest.raises(ValueError, match="all-zero"):
             psd_from_samples(grid64, np.zeros(64))
