@@ -75,9 +75,9 @@ def _cmd_dist(args) -> int:
     if args.metric == "rs":
         if args.r is None or args.s is None:
             raise UsageError("--metric rs requires --r and --s")
-        if args.r == 0 or args.s == 0 or not args.r > args.s:
+        if args.r == 0 or args.s == 0 or not -np.inf < args.s < args.r < np.inf:
             raise UsageError(
-                f"rs orders must be nonzero with r > s, got r={args.r} s={args.s}"
+                f"rs orders must be finite and nonzero with r > s, got r={args.r} s={args.s}"
             )
     f1 = _parse_psd_arg(args.f1, args.grid)
     f2 = _parse_psd_arg(args.f2, args.grid)

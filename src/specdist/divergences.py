@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import _as_samples, central_variance
+from .grid import _vector, central_variance
 from .spectra import Psd, _log_power_mean, arithmetic_mean, log_ratio
 
 __all__ = [
@@ -108,11 +108,13 @@ def divergence_rs(f1: Psd, f2: Psd, r: float, s: float) -> float:
 
     Nonnegative for ``r > s`` by the power-mean inequality (callers wanting
     divergence semantics should order the exponents that way; ``r < s``
-    yields the negated value).  ``r``, ``s`` must be nonzero and distinct.
-    Pairs with differing zero sets map to ``inf``, as in
+    yields the negated value).  ``r``, ``s`` must be finite, nonzero and
+    distinct.  Pairs with differing zero sets map to ``inf``, as in
     :func:`divergence_ag`.
     """
     r, s = float(r), float(s)
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise ValueError(f"power-mean orders must be finite, got r = {r}, s = {s}")
     if r == 0.0 or s == 0.0:
         raise ValueError("power-mean orders must be nonzero (the 0 limit is the geometric mean)")
     if r == s:
@@ -147,7 +149,7 @@ def _check_delta(f: Psd, delta) -> np.ndarray:
     """Validate a perturbation of the strictly positive density ``f``."""
     if f.zero_set:
         raise ValueError("density must be strictly positive")
-    return _as_samples(f.grid, delta, "delta")
+    return _vector(delta, "delta", f.grid.n)
 
 
 def riemannian_form(f: Psd, delta) -> float:

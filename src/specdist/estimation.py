@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .grid import FrequencyGrid, _transform_power
+from .grid import FrequencyGrid, _transform_power, _vector
 from .spectra import Psd, psd_from_samples
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
@@ -27,20 +27,13 @@ _MIN_SEGMENT = 8
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A finite real signal (at least two samples) with an optional label."""
+    """A finite real signal (a read-only copy, at least two samples) with an optional label."""
 
     samples: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.samples, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("a time series needs a 1-d vector of at least 2 samples")
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise ValueError(f"samples[{bad}] = {x[bad]} is not finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", _vector(self.samples, "samples", at_least=2))
 
     def __len__(self) -> int:
         return self.samples.size

@@ -68,16 +68,18 @@ def make_grid(n: int) -> FrequencyGrid:
     return FrequencyGrid(n=n, nodes=nodes)
 
 
-def _as_samples(grid: FrequencyGrid, samples, name: str = "samples") -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.shape[0] != grid.n:
-        raise ValueError(
-            f"{name} must be a vector of length {grid.n}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise ValueError(f"{name}[{bad}] = {x[bad]} is not finite")
-    return x
+def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.ndarray:
+    """A read-only float64 copy of ``x``, which must be a finite 1-d vector of
+    exactly ``length`` entries when given, and of at least ``at_least``."""
+    v = np.array(x, dtype=float)
+    if v.ndim != 1 or v.size < at_least or length not in (None, v.size):
+        size = f"length {length}" if length is not None else f"length at least {at_least}"
+        raise ValueError(f"{name} must be a vector of {size}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"{name}[{bad}] = {v[bad]} is not finite")
+    v.setflags(write=False)
+    return v
 
 
 def mean(grid: FrequencyGrid, samples) -> float:
@@ -85,7 +87,7 @@ def mean(grid: FrequencyGrid, samples) -> float:
 
     Equals the arithmetic average (1/n) * sum(samples).
     """
-    return float(np.mean(_as_samples(grid, samples)))
+    return float(np.mean(_vector(samples, "samples", grid.n)))
 
 
 def central_variance(grid: FrequencyGrid, samples) -> float:
@@ -98,7 +100,7 @@ def central_variance(grid: FrequencyGrid, samples) -> float:
     The centered form is a mean of squares, so the result is nonnegative by
     construction.
     """
-    x = _as_samples(grid, samples)
+    x = _vector(samples, "samples", grid.n)
     centered = x - float(np.mean(x))
     return float(np.mean(centered * centered))
 

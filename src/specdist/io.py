@@ -40,10 +40,6 @@ PSD_HEADER = ("theta", "psd")
 _PSD_LAYOUT = {PSD_HEADER: (0, 1)}
 _SERIES_LAYOUTS = {("t", "value"): (1,), ("value",): (0,)}
 
-# Exact first lines that let a file take the vectorized parse.
-_PSD_HEADER_LINE = ",".join(PSD_HEADER) + "\n"
-_SERIES_HEADER_LINES = tuple(",".join(h) + "\n" for h in _SERIES_LAYOUTS)
-
 # Relative spacing jitter allowed before a frequency column is rejected.
 _SPACING_RTOL = 1e-9
 
@@ -76,7 +72,7 @@ def write_psd_csv(psd: Psd, path) -> None:
 
 def _write_psd_rows(psd: Psd, fh) -> None:
     # Numbers never need CSV quoting, so the rows are formatted directly.
-    fh.write(_PSD_HEADER_LINE)
+    fh.write(",".join(PSD_HEADER) + "\n")
     fh.writelines(
         [
             f"{theta:.{_PSD_DIGITS}g},{value:.{_PSD_DIGITS}g}\n"
@@ -85,28 +81,38 @@ def _write_psd_rows(psd: Psd, fh) -> None:
     )
 
 
-def _numeric_table(path, headers: tuple[str, ...]) -> np.ndarray | None:
+def _numeric_table(path, layouts: dict) -> np.ndarray | None:
     """The data rows of a plain numeric CSV in one vectorized parse.
 
-    Returns an ``(n, columns)`` array when the first line is exactly one of
-    ``headers`` (LF-terminated; the column count is that header's) and every
-    row parses to finite numbers.  Returns ``None`` for anything else, so the
-    caller's row parser decides: it accepts the same files and is the only
-    code that names a bad line.
+    Returns :func:`_read_rows`'s table when the first line is exactly one of
+    the ``layouts`` headers (unpadded, LF-terminated), every row has that
+    header's field count and every read field is a finite number.  Returns
+    ``None`` for anything else, so the caller's row parser decides: it
+    accepts the same files and is the only code that names a bad line.
     """
     with open(path, newline="") as fh:
         try:
             header = fh.readline()
-            if header not in headers:
+            names = tuple(header[:-1].split(","))
+            columns = layouts.get(names) if header.endswith("\n") else None
+            if columns is None:
                 return None
+            # usecols accepts rows with extra fields: pass it only to skip a column.
+            usecols = columns if len(columns) < len(names) else None
             with warnings.catch_warnings():
                 # a header-only file: "input contained no data"
                 warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
         except ValueError:
             return None
-    if table.shape[1] != header.count(",") + 1 or not np.isfinite(table).all():
+    if table.shape[1] != len(columns) or not np.isfinite(table).all():
         return None
+    if usecols is not None:
+        # loadtxt refused rows short of usecols, so only extra fields add commas.
+        with open(path, "rb") as fh:
+            commas = sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        if commas != (len(table) + 1) * (len(names) - 1):
+            return None
     return table
 
 
@@ -162,7 +168,7 @@ def read_psd_csv(path) -> Psd:
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
-    table = _numeric_table(path, (_PSD_HEADER_LINE,))
+    table = _numeric_table(path, _PSD_LAYOUT)
     if table is None or np.any(table[:, 1] < 0.0):
         table, lines = _read_rows(path, _PSD_LAYOUT)
         negative = np.flatnonzero(table[:, 1] < 0.0)
@@ -193,11 +199,11 @@ def read_timeseries_csv(path) -> TimeSeries:
 
     The ``t`` column must be present on every row but is not parsed.
     """
-    table = _numeric_table(path, _SERIES_HEADER_LINES)
+    table = _numeric_table(path, _SERIES_LAYOUTS)
     if table is None:
         table, _ = _read_rows(path, _SERIES_LAYOUTS)
     try:
-        return TimeSeries(samples=np.ascontiguousarray(table[:, -1]), label=Path(path).stem)
+        return TimeSeries(samples=table[:, 0], label=Path(path).stem)
     except ValueError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
 

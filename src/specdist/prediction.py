@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid, _transform_power
+from .grid import FrequencyGrid, _transform_power, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -40,24 +40,19 @@ _COVARIANCE_SLACK = 1e-12
 class Autocovariance:
     """Covariance sequence c_0..c_M of the process with the source density.
 
-    Valid sequences have c_0 > 0 and |c_k| <= c_0.
+    Valid sequences have c_0 > 0 and |c_k| <= c_0; ``lags`` is a read-only copy.
     """
 
     lags: np.ndarray
     grid: FrequencyGrid
 
     def __post_init__(self):
-        c = np.asarray(self.lags, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("lags must be a nonempty vector c_0..c_M")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("covariance lags must be finite")
+        c = _vector(self.lags, "lags", at_least=1)
         if c[0] <= 0.0:
             raise ValueError(f"c_0 must be positive, got {c[0]}")
         if np.abs(c).max() > c[0] * (1.0 + _COVARIANCE_SLACK):
             raise ValueError("|c_k| <= c_0 must hold for a covariance sequence")
         object.__setattr__(self, "lags", c)
-        c.setflags(write=False)
 
     @property
     def max_lag(self) -> int:
@@ -67,11 +62,15 @@ class Autocovariance:
 @dataclass(frozen=True, eq=False)
 class PredictorCoeffs:
     """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of order ``order``
-    with the prediction error variance it attains."""
+    with the prediction error variance it attains; ``coeffs`` (finite, exactly
+    ``order`` long) is stored as a read-only copy."""
 
     order: int
     coeffs: np.ndarray
     attained_variance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", self.order))
 
 
 def _check_even_symmetry(f: Psd) -> None:
@@ -139,7 +138,6 @@ def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
                 f"prediction error variance hit {variance} at order {m}; "
                 "covariance sequence is degenerate"
             )
-    coeffs.setflags(write=False)
     return PredictorCoeffs(order=p, coeffs=coeffs, attained_variance=variance)
 
 
@@ -154,7 +152,7 @@ def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:
             f"grid with n = {f.grid.n} is too coarse for an order-{pred.order} "
             "error filter (needs n > 2*order)"
         )
-    error_filter = np.concatenate(([1.0], -np.asarray(pred.coeffs, dtype=float)))
+    error_filter = np.concatenate(([1.0], -pred.coeffs))
     gain = _transform_power(error_filter, f.grid.n)
     return float(np.mean(gain * f.values))
 

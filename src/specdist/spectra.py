@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalizableError, UnstableModelError
-from .grid import FrequencyGrid, _as_samples, _transform_power
+from .grid import FrequencyGrid, _transform_power, _vector
 
 __all__ = [
     "Psd",
@@ -84,12 +84,12 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 
 
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
-    """Validate a sample vector and wrap it as a density on ``grid``.
+    """Validate a read-only copy of a sample vector as a density on ``grid``.
 
     Raises ``ValueError`` (naming the first offending index) for non-finite
     entries, then for negative ones, and for the all-zero vector.
     """
-    v = _as_samples(grid, np.array(values, dtype=float), "values")
+    v = _vector(values, "values", grid.n)
     negative = np.flatnonzero(v < 0.0)
     if negative.size:
         i = int(negative[0])
@@ -97,7 +97,7 @@ def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
     if not v.any():
         raise ValueError("the all-zero vector is not a density")
     zero_set = frozenset(np.flatnonzero(v == 0.0).tolist())
-    return Psd(grid=grid, values=_freeze(v), zero_set=zero_set)
+    return Psd(grid=grid, values=v, zero_set=zero_set)
 
 
 def psd_constant(grid: FrequencyGrid, level: float) -> Psd:
@@ -142,9 +142,7 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
     ValueError
         If ``sigma2 <= 0``.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.ndim != 1 or not np.all(np.isfinite(a)):
-        raise ValueError("AR coefficients must be a finite real vector")
+    a = _vector(np.atleast_1d(a), "a")
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
     _require_stable(a)
@@ -192,12 +190,12 @@ def generalized_mean(f: Psd, r: float) -> float:
     """Power mean (mean(f^r))^(1/r) of the density over the grid measure,
     computed from log f so that no f^r overflows.
 
-    ``r = 0`` is excluded (its limit is :func:`geometric_mean`); negative
-    ``r`` requires a strictly positive density.
+    ``r`` must be finite; ``r = 0`` is excluded (its limit is
+    :func:`geometric_mean`); negative ``r`` requires a strictly positive density.
     """
     r = float(r)
-    if r == 0.0:
-        raise ValueError("r = 0 is excluded; use geometric_mean")
+    if r == 0.0 or not math.isfinite(r):
+        raise ValueError(f"r = {r} is excluded; use a finite r, or geometric_mean for r = 0")
     if r < 0.0 and f.zero_set:
         raise ZeroDivisionError(
             "negative-power mean of a density with zeros would divide by zero"

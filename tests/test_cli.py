@@ -93,6 +93,17 @@ class TestDist:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["r", "s"])
+    def test_non_finite_orders_are_usage_error(self, capsys, flag, bad):
+        orders = {"r": "2", "s": "1", flag: bad}
+        code, out, err = run(
+            capsys, "dist", "--metric", "rs", f"--r={orders['r']}", f"--s={orders['s']}",
+            "expcos:1", "const:1",
+        )
+        assert (code, out) == (2, "")
+        assert "usage error: rs orders must be finite" in err
+
     def test_missing_orders_are_usage_error(self, capsys, fixtures):
         code, _, err = run(
             capsys, "dist", fixtures["expcos"], fixtures["const1"], "--metric", "rs"

@@ -213,6 +213,15 @@ class TestDivergenceRs:
         with pytest.raises(ValueError, match="nonzero"):
             divergence_rs(expcos, flat_one, r, s)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_orders_are_rejected(self, expcos, flat_one, grid4096, bad):
+        zeros = psd_with_zero_at(grid4096, 0)  # an inf pair is refused too
+        for f2 in (flat_one, zeros):
+            with pytest.raises(ValueError, match=f"must be finite, got r = {bad}, s = 1.0"):
+                divergence_rs(expcos, f2, bad, 1.0)
+            with pytest.raises(ValueError, match=f"must be finite, got r = 1.0, s = {bad}"):
+                divergence_rs(expcos, f2, 1.0, bad)
+
     def test_nonnegative_when_orders_are_sorted(self, grid1024):
         rng = np.random.default_rng(19)
         for _ in range(10):

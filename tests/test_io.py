@@ -254,9 +254,27 @@ class TestFastParse:
         f = random_positive_spectrum(np.random.default_rng(3), grid1024)
         path = tmp_path / "f.csv"
         write_psd_csv(f, path)
-        table = specdist_io._numeric_table(path, ("theta,psd\n",))
+        table = specdist_io._numeric_table(path, specdist_io._PSD_LAYOUT)
         assert table is not None and table.shape == (1024, 2)
         np.testing.assert_array_equal(table[:, 1], f.values)
+
+    def test_timestamp_t_takes_the_fast_path(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        path.write_text("t,value\n2024-01-01T00:00,1.5\n2024-01-01T00:01,-2\n\n2024-01-01,3\n")
+        table = specdist_io._numeric_table(path, specdist_io._SERIES_LAYOUTS)
+        assert table is not None and table.tolist() == [[1.5], [-2.0], [3.0]]
+        assert read_timeseries_csv(path).samples.tolist() == [1.5, -2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "body", ["0,1\n1,2,3\n", "a,1\nb,2,\n", "0,1\n2\n", "0,1\n,\n", "0,1,2\n3\n"]
+    )
+    def test_skipped_column_rows_need_the_header_field_count(self, tmp_path, monkeypatch, body):
+        # loadtxt's usecols alone would accept a row with extra fields
+        path = tmp_path / "ts.csv"
+        path.write_text("t,value\n" + body)
+        assert specdist_io._numeric_table(path, specdist_io._SERIES_LAYOUTS) is None
+        _, rows = self.both(monkeypatch, read_timeseries_csv, path)
+        assert isinstance(rows, CsvParseError)
 
     def test_header_only_file_warns_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"

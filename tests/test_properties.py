@@ -13,7 +13,10 @@ from specdist import (
     divergence_rs,
     divergence_sym,
     geodesic_distance,
+    geodesic_path,
+    geodesic_point,
     make_grid,
+    path_length,
     psd_from_samples,
     read_psd_csv,
     write_psd_csv,
@@ -72,7 +75,7 @@ def test_psd_csv_round_trip_is_bitwise(tmp_path_factory, data, n):
     np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
     assert g.zero_set == f.zero_set
     # the vectorized parse and the row parser read the same bits
-    fast = specdist_io._numeric_table(path, (specdist_io._PSD_HEADER_LINE,))
+    fast = specdist_io._numeric_table(path, specdist_io._PSD_LAYOUT)
     rows, lines = specdist_io._read_rows(path, specdist_io._PSD_LAYOUT)
     assert fast is not None and fast.shape == rows.shape == (n, 2)
     np.testing.assert_array_equal(fast.view(np.uint64), rows.view(np.uint64))
@@ -110,3 +113,25 @@ def test_triangle_inequality_with_infinite_legs(f, g, h):
     d_gh = geodesic_distance(g, h)
     assert d_fh <= d_fg + d_gh + 1e-12
     assert np.isinf(d_fh) == (f.zero_set != h.zero_set)
+
+
+@st.composite
+def pairs_sharing_zero_bands(draw):
+    bands = draw(st.sets(st.sampled_from(range(len(ZERO_BANDS)))))
+    pair = []
+    for _ in range(2):
+        values = draw(positive_samples)
+        for band in bands:
+            values[list(ZERO_BANDS[band])] = 0.0
+        pair.append(psd_from_samples(GRID, values))
+    return pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pair=pairs_sharing_zero_bands(), tau=st.floats(min_value=0.0, max_value=1.0))
+def test_geodesic_path_is_intrinsic(pair, tau):
+    f0, f1 = pair
+    d = geodesic_distance(f0, f1)
+    for m in (2, 3, 11, 101):
+        assert abs(path_length(geodesic_path(f0, f1, m)) - d) <= 1e-10
+    assert abs(geodesic_distance(f0, geodesic_point(f0, f1, tau)) - tau * d) <= 1e-10

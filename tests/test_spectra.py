@@ -201,6 +201,13 @@ class TestMeans:
         with pytest.raises(ValueError, match="geometric_mean"):
             generalized_mean(expcos, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_order_is_rejected(self, expcos, grid64, bad):
+        # before the zero-set check, so -inf on a density with zeros is a ValueError too
+        for f in (expcos, psd_with_zero_at(grid64, 4)):
+            with pytest.raises(ValueError, match=f"r = {bad} is excluded"):
+                generalized_mean(f, bad)
+
     def test_negative_order_with_zeros_divides_by_zero(self, grid64):
         f = psd_with_zero_at(grid64, 4)
         with pytest.raises(ZeroDivisionError):

@@ -1,0 +1,96 @@
+"""Value objects own their vectors: each stores a checked, read-only copy."""
+
+import numpy as np
+import pytest
+
+from specdist import (
+    Autocovariance,
+    PredictorCoeffs,
+    TimeSeries,
+    degraded_variance,
+    make_grid,
+    psd_from_ar,
+    psd_from_samples,
+)
+
+GRID = make_grid(8)
+
+# How each value object is built from a caller's vector, and where it keeps it.
+OWNERS = {
+    "psd_from_samples": (lambda x: psd_from_samples(GRID, x), lambda v: v.values),
+    "TimeSeries": (lambda x: TimeSeries(samples=x), lambda v: v.samples),
+    "Autocovariance": (lambda x: Autocovariance(lags=x, grid=GRID), lambda v: v.lags),
+    "PredictorCoeffs": (
+        lambda x: PredictorCoeffs(order=len(x), coeffs=x, attained_variance=1.0),
+        lambda v: v.coeffs,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERS))
+def test_stores_a_read_only_copy_of_the_callers_vector(kind):
+    build, stored = OWNERS[kind]
+    x = 0.5 ** np.arange(GRID.n)
+    value = build(x)
+    x[0] = 9.0  # the caller's array stays writable ...
+    assert stored(value)[0] == 1.0  # ... and changing it leaves the value alone
+    assert not stored(value).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stored(value)[0] = 2.0
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERS))
+def test_a_list_is_stored_as_float64(kind):
+    build, stored = OWNERS[kind]
+    v = stored(build([1, 0, 0, 0, 0, 0, 0, 0]))
+    assert v.dtype == np.float64 and v.tolist() == [1.0] + [0.0] * 7
+
+
+class TestPredictorCoeffs:
+    def test_rejects_coefficients_that_do_not_match_the_order(self):
+        # 600 taps labelled order 1 would pass degraded_variance's n > 2*order
+        # guard on n = 1024 and give a wrong variance
+        message = r"coeffs must be a vector of length 1, got shape \(600,\)"
+        with pytest.raises(ValueError, match=message):
+            PredictorCoeffs(order=1, coeffs=np.full(600, 1e-3), attained_variance=1.0)
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match=r"coeffs\[1\] = nan is not finite"):
+            PredictorCoeffs(order=2, coeffs=[0.5, np.nan], attained_variance=1.0)
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="coeffs must be a vector"):
+            PredictorCoeffs(order=2, coeffs=np.zeros((1, 2)), attained_variance=1.0)
+
+    def test_order_zero_still_gives_total_power(self):
+        f = psd_from_ar([0.5], 1.0, make_grid(64))
+        pred = PredictorCoeffs(order=0, coeffs=[], attained_variance=1.0)
+        assert pred.coeffs.shape == (0,)
+        assert degraded_variance(f, pred) == np.mean(f.values)
+
+
+class TestCheckMessages:
+    def test_time_series_shape(self):
+        message = r"samples must be a vector of length at least 2, got shape \(1,\)"
+        with pytest.raises(ValueError, match=message):
+            TimeSeries(samples=[1.0])
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            TimeSeries(samples=np.ones((2, 2)))
+
+    def test_non_finite_lags(self):
+        with pytest.raises(ValueError, match=r"lags\[2\] = inf is not finite"):
+            Autocovariance(lags=[1.0, 0.5, np.inf], grid=GRID)
+
+    def test_empty_lags(self):
+        with pytest.raises(ValueError, match=r"lags must be a vector of length at least 1"):
+            Autocovariance(lags=[], grid=GRID)
+
+    def test_non_finite_ar_coefficients(self):
+        with pytest.raises(ValueError, match=r"a\[1\] = nan is not finite"):
+            psd_from_ar([0.5, np.nan], 1.0, GRID)
+        with pytest.raises(ValueError, match=r"a must be a vector"):
+            psd_from_ar(np.zeros((2, 2)), 1.0, GRID)
+
+    def test_scalar_ar_coefficient_is_a_vector_of_one(self):
+        scalar, vector = psd_from_ar(0.5, 1.0, GRID), psd_from_ar([0.5], 1.0, GRID)
+        assert scalar.values.tolist() == vector.values.tolist()
