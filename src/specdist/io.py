@@ -5,15 +5,31 @@ ascending from -pi (inclusive) on a uniform grid whose final node stays
 below pi.  Values are written with 17 significant digits so a write/read
 round trip is bitwise lossless.  Distance matrices carry their labels in
 the first row and column; infinite entries use the literal ``inf``.
+
+Every PSD file on an n-node grid has the same theta column, so its text
+(``f"{theta:.17g}"`` for each node of ``make_grid(n)``) is built once per n
+and cached, for grids of up to ``_CANONICAL_MAX_N`` nodes.  Writes format
+only the values.  Reads try three parses in turn, and each gives the same
+values as the next on the files it accepts:
+
+1. the canonical parse, for a file whose header line is exactly
+   ``theta,psd`` and whose rows are exactly ``<theta>,<value>`` with LF
+   line ends and the cached theta text: it converts only the values and
+   takes the thetas from the grid;
+2. one ``np.loadtxt`` over the whole table, for any file whose header line
+   is exact;
+3. the row parser, the only one that reports a bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -43,10 +59,11 @@ _SERIES_LAYOUTS = {("t", "value"): (1,), ("value",): (0,)}
 # Relative spacing jitter allowed before a frequency column is rejected.
 _SPACING_RTOL = 1e-9
 
-# Significant digits: full double precision in PSD files, display precision
-# in distance matrices and on stdout.
-_PSD_DIGITS = 17
-_RESULT_DIGITS = 12
+# Grids of up to this many nodes keep their theta column text cached (about
+# 70 bytes a node) and take the canonical parse.  On larger grids the field
+# list costs more than skipping half the conversions saves, and the cached
+# text would hold on to megabytes.
+_CANONICAL_MAX_N = 1 << 14
 
 # Rows of strictly positive spectra differenced against one row at a time in
 # the pair loop; caps the scratch block at this many grid-length vectors.
@@ -55,7 +72,7 @@ _PAIR_BLOCK = 32
 
 def format_scalar(x: float) -> str:
     """Render a result with 12 significant digits; infinities as ``inf``."""
-    return f"{float(x):.{_RESULT_DIGITS}g}"
+    return f"{float(x):.12g}"
 
 
 def write_psd_csv(psd: Psd, path) -> None:
@@ -70,15 +87,63 @@ def write_psd_csv(psd: Psd, path) -> None:
             _write_psd_rows(psd, fh)
 
 
+def _format_thetas(n: int) -> tuple[str, ...]:
+    return tuple(f"{theta:.17g}" for theta in make_grid(n).nodes.tolist())
+
+
+_cached_thetas = functools.lru_cache(maxsize=4)(_format_thetas)
+
+
+def _theta_text(n: int) -> tuple[str, ...]:
+    """The theta fields of every PSD file on the n-node grid, as written;
+    cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
+    return _cached_thetas(n) if n <= _CANONICAL_MAX_N else _format_thetas(n)
+
+
 def _write_psd_rows(psd: Psd, fh) -> None:
     # Numbers never need CSV quoting, so the rows are formatted directly.
     fh.write(",".join(PSD_HEADER) + "\n")
     fh.writelines(
         [
-            f"{theta:.{_PSD_DIGITS}g},{value:.{_PSD_DIGITS}g}\n"
-            for theta, value in zip(psd.grid.nodes.tolist(), psd.values.tolist())
+            f"{theta},{value:.17g}\n"
+            for theta, value in zip(_theta_text(psd.grid.n), psd.values.tolist())
         ]
     )
+
+
+# Every byte but the field and line separators (CR ends a line for the row
+# parser too), deleted to read a file's row layout.
+_NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n\r"))
+
+
+def _canonical_psd_table(fh) -> np.ndarray | None:
+    """The rest of a text stream positioned after an exact ``theta,psd``
+    header line, when every row is ``<theta>,<value>`` plus LF with the
+    cached theta text and a finite value; otherwise ``None``.
+
+    The thetas are the grid's nodes (17 digits round-trip, so parsing the
+    text gives the same bits) and each value is ``float`` of its field,
+    which is what the row parser makes of such a file.
+    """
+    # Written rows are at most 48 characters, so a longer body has too many.
+    limit = 64 * _CANONICAL_MAX_N
+    body = fh.read(limit + 1)
+    if len(body) > limit:
+        return None
+    separators = body.encode().translate(None, _NOT_SEPARATORS)
+    n = len(separators) // 2
+    if not 2 <= n <= _CANONICAL_MAX_N or separators != b",\n" * n:
+        return None
+    fields = body.replace("\n", ",").split(",")
+    if tuple(fields[0:-1:2]) != _theta_text(n):
+        return None
+    try:
+        values = np.fromiter(map(float, fields[1::2]), dtype=float, count=n)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return np.column_stack((make_grid(n).nodes, values))
 
 
 def _numeric_table(path, layouts: dict) -> np.ndarray | None:
@@ -97,6 +162,12 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
             columns = layouts.get(names) if header.endswith("\n") else None
             if columns is None:
                 return None
+            if names == PSD_HEADER:
+                table = _canonical_psd_table(fh)
+                if table is not None:
+                    return table
+                fh.seek(0)
+                fh.readline()
             # usecols accepts rows with extra fields: pass it only to skip a column.
             usecols = columns if len(columns) < len(names) else None
             with warnings.catch_warnings():
@@ -269,11 +340,20 @@ def build_distance_matrix(
 
 def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
     """Write the labeled matrix; ``inf`` is the literal for infinite entries."""
+    # Numbers never need quoting, so csv quotes only the labels: the header
+    # row, then each label with the comma after it (one write per row; the
+    # line terminator stays "\n" because csv quotes the characters in it).
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        [["", *matrix.labels], *([label, ""] for label in matrix.labels)]
+    )
+    rows = [
+        prefix[:-1] + ",".join(map(format_scalar, row)) + "\n"
+        for prefix, row in zip(lines[1:], matrix.entries.tolist())
+    ]
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["", *matrix.labels])
-            for label, row in zip(matrix.labels, matrix.entries):
-                writer.writerow([label, *(format_scalar(x) for x in row)])
+            fh.write(lines[0])
+            fh.writelines(rows)
     except OSError as exc:
         raise OSError(f"cannot write distance matrix to {path}: {exc}") from exc

@@ -11,7 +11,7 @@ would silently change the metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,29 @@ __all__ = [
 class Psd:
     """Nonnegative density samples ``values[k] = f(theta_k)`` on ``grid``.
 
-    ``zero_set`` holds the indices where the density is exactly zero.  The
-    all-zero function is not a valid density.  Instances are immutable;
-    ``values`` is a read-only array.
+    ``zero_set`` holds the indices where the density is exactly zero; it is
+    derived from the values.  The all-zero function is not a valid density.
+    Instances are immutable; ``values`` is a read-only copy of the vector
+    given.
+
+    Raises ``ValueError`` (naming the first offending index) for non-finite
+    entries, then for negative ones, and for the all-zero vector.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
-    zero_set: frozenset
+    zero_set: frozenset = field(init=False)
+
+    def __post_init__(self) -> None:
+        v = _vector(self.values, "values", self.grid.n)
+        negative = np.flatnonzero(v < 0.0)
+        if negative.size:
+            i = int(negative[0])
+            raise ValueError(f"values[{i}] = {v[i]}; density samples must be finite and >= 0")
+        if not v.any():
+            raise ValueError("the all-zero vector is not a density")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "zero_set", frozenset(np.flatnonzero(v == 0.0).tolist()))
 
     @property
     def strictly_positive(self) -> bool:
@@ -86,18 +101,9 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
     """Validate a read-only copy of a sample vector as a density on ``grid``.
 
-    Raises ``ValueError`` (naming the first offending index) for non-finite
-    entries, then for negative ones, and for the all-zero vector.
+    The same as ``Psd(grid, values)``, with the same errors.
     """
-    v = _vector(values, "values", grid.n)
-    negative = np.flatnonzero(v < 0.0)
-    if negative.size:
-        i = int(negative[0])
-        raise ValueError(f"values[{i}] = {v[i]}; density samples must be finite and >= 0")
-    if not v.any():
-        raise ValueError("the all-zero vector is not a density")
-    zero_set = frozenset(np.flatnonzero(v == 0.0).tolist())
-    return Psd(grid=grid, values=v, zero_set=zero_set)
+    return Psd(grid=grid, values=values)
 
 
 def psd_constant(grid: FrequencyGrid, level: float) -> Psd:

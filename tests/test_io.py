@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 
@@ -10,6 +12,7 @@ from specdist import (
     NegativeDensityError,
     build_distance_matrix,
     geodesic_distance,
+    make_grid,
     psd_constant,
     psd_from_ar,
     psd_from_samples,
@@ -177,6 +180,18 @@ PSD_CORPUS = {
     "no_final_newline": _psd_text(["1.5", "2", "0.25", "3"]).rstrip("\n"),
     "jittered_grid": _psd_text(["1", "1", "1", "1"]).replace(_THETAS[2], "1e-3"),
     "wrong_origin": "theta,psd\n" + "".join(f"{t:.17g},1\n" for t in np.pi / 2 * np.arange(4)),
+    # The canonical parse (exact header, "<theta>,<value>" rows with LF line
+    # ends, theta text as written) against everything just outside it.
+    "written": _psd_text([f"{v:.17g}" for v in (0.1, 2 / 3, 0.0, 5e-324)]),
+    "crlf_last_row": _psd_text(["1.5", "2", "0.25", "3"]).removesuffix("\n") + "\r\n",
+    "cr_inside_row": _psd_text([" 1\r ", "2", "0.25", "3"]),
+    "theta_16_digits": "theta,psd\n" + "".join(f"{t:.16g},1.5\n" for t in np.pi / 2 * np.arange(4) - np.pi),
+    "theta_18e": "theta,psd\n" + "".join(f"{t:.18e},1.5\n" for t in np.pi / 2 * np.arange(4) - np.pi),
+    "realigned_rows": _psd_text(["1.5", "2", "0.25", "3"]).replace(f"\n{_THETAS[1]},", f",{_THETAS[1]}\n", 1),
+    "trailing_blank_line": _psd_text(["1.5", "2", "0.25", "3"]) + "\n",
+    "value_minus_one": _psd_text(["1.5", "-1", "0.25", "3"]),
+    "value_leading_space": _psd_text(["1.5", "2", " 1", "3"]),
+    "value_form_feed": _psd_text(["1.5\x0c", "\x0b2", "0.25", "3"]),
 }
 
 SERIES_CORPUS = {
@@ -257,6 +272,23 @@ class TestFastParse:
         table = specdist_io._numeric_table(path, specdist_io._PSD_LAYOUT)
         assert table is not None and table.shape == (1024, 2)
         np.testing.assert_array_equal(table[:, 1], f.values)
+
+    def test_written_files_take_the_canonical_parse(self, tmp_path, monkeypatch, grid1024):
+        values = np.array(random_positive_spectrum(np.random.default_rng(4), grid1024).values)
+        values[[0, 7, 1023]] = [0.0, 5e-324, 1.7976931348623157e308]
+        f = psd_from_samples(grid1024, values)
+        path = tmp_path / "f.csv"
+        write_psd_csv(f, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("left the canonical parse")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(specdist_io, "_read_rows", refuse)
+        g = read_psd_csv(path)
+        assert g.grid is grid1024
+        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+        assert g.zero_set == frozenset({0})
 
     def test_timestamp_t_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "ts.csv"
@@ -353,6 +385,54 @@ class TestDistanceMatrix:
     def test_label_count_must_match(self, grid64):
         with pytest.raises(ValueError, match="labels"):
             build_distance_matrix([psd_constant(grid64, 1.0)], ["a", "b"])
+
+
+def _old_psd_text(psd):
+    """The per-row formula write_psd_csv used before the theta text was cached."""
+    rows = zip(psd.grid.nodes.tolist(), psd.values.tolist())
+    return "theta,psd\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in rows)
+
+
+def _old_matrix_text(matrix):
+    """write_distance_matrix_csv as one csv.writer row per matrix row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *matrix.labels])
+    for label, row in zip(matrix.labels, matrix.entries):
+        writer.writerow([label, *(format_scalar(x) for x in row)])
+    return out.getvalue()
+
+
+class TestWrittenBytes:
+    def test_psd_bytes_match_the_per_row_formula(self, tmp_path):
+        # more node counts than the theta cache holds, interleaved, so the
+        # cache is both hit and missed; 16385 is past the cached sizes
+        rng = np.random.default_rng(9)
+        for i, n in enumerate([2, 4096, 3, 2, 1024, 7, 4096, 16385, 3, 1024, 2, 7]):
+            values = rng.exponential(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            values[rng.integers(n)] = 0.0
+            f = psd_from_samples(make_grid(n), values)
+            path = tmp_path / f"{i}.csv"
+            write_psd_csv(f, path)
+            stream = io.StringIO()
+            write_psd_csv(f, stream)
+            assert path.read_bytes() == stream.getvalue().encode() == _old_psd_text(f).encode()
+            back = read_psd_csv(path).values
+            np.testing.assert_array_equal(back.view(np.uint64), f.values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["a", "b", "c"], ["a,b", 'x"y', " lead"], ["", "p\nq", "r\rs", "trail "], ["only"], []],
+        ids=["plain", "quoted", "edge", "one", "none"],
+    )
+    def test_matrix_bytes_match_csv_writer_rows(self, tmp_path, grid64, labels):
+        spectra = [psd_with_zero_at(grid64, 1 + i % 2, 1.5 + i) for i in range(len(labels))]
+        if len(labels) > 2:
+            spectra[2] = psd_constant(grid64, 0.1)
+        m = build_distance_matrix(spectra, labels)
+        out = tmp_path / "m.csv"
+        write_distance_matrix_csv(m, out)
+        assert out.read_bytes() == _old_matrix_text(m).encode()
 
 
 class TestFormatting:

@@ -6,9 +6,12 @@ import pytest
 from specdist import (
     Autocovariance,
     PredictorCoeffs,
+    Psd,
     TimeSeries,
     degraded_variance,
+    geodesic_distance,
     make_grid,
+    psd_constant,
     psd_from_ar,
     psd_from_samples,
 )
@@ -17,6 +20,7 @@ GRID = make_grid(8)
 
 # How each value object is built from a caller's vector, and where it keeps it.
 OWNERS = {
+    "Psd": (lambda x: Psd(GRID, x), lambda v: v.values),
     "psd_from_samples": (lambda x: psd_from_samples(GRID, x), lambda v: v.values),
     "TimeSeries": (lambda x: TimeSeries(samples=x), lambda v: v.samples),
     "Autocovariance": (lambda x: Autocovariance(lags=x, grid=GRID), lambda v: v.lags),
@@ -44,6 +48,33 @@ def test_a_list_is_stored_as_float64(kind):
     build, stored = OWNERS[kind]
     v = stored(build([1, 0, 0, 0, 0, 0, 0, 0]))
     assert v.dtype == np.float64 and v.tolist() == [1.0] + [0.0] * 7
+
+
+class TestPsd:
+    def test_zero_set_is_derived_from_the_values(self):
+        f = Psd(GRID, [1, 0, 1, 1, 1, 1, 0, 1])
+        assert f.zero_set == frozenset({1, 6})
+        # with its zero known, the pair with a flat density is infinite, not
+        # a divide-by-zero warning
+        assert geodesic_distance(f, psd_constant(GRID, 1.0)) == np.inf
+
+    def test_zero_set_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            Psd(GRID, np.ones(GRID.n), frozenset())
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([1, 1, -0.5, 1, 1, 1, 1, 1], r"values\[2\] = -0.5; density samples must be finite and >= 0"),
+            ([1, np.nan, -0.5, 1, 1, 1, 1, 1], r"values\[1\] = nan is not finite"),
+            (np.zeros(8), "the all-zero vector is not a density"),
+            (np.ones(7), r"values must be a vector of length 8, got shape \(7,\)"),
+        ],
+    )
+    def test_checks_are_those_of_psd_from_samples(self, values, message):
+        for build in (Psd, psd_from_samples):
+            with pytest.raises(ValueError, match=message):
+                build(GRID, values)
 
 
 class TestPredictorCoeffs:
