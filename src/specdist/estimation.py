@@ -50,11 +50,7 @@ def periodogram(ts: TimeSeries, grid: FrequencyGrid) -> Psd:
     EstimationError
         For the all-zero signal, whose estimate is not a valid density.
     """
-    values = _transform_power(ts.samples, grid.n) / len(ts)
-    try:
-        return psd_from_samples(grid, values)
-    except ValueError as exc:
-        raise EstimationError(f"periodogram is not a valid density: {exc}") from exc
+    return _segment_average(ts, len(ts), 1, "rectangular", grid, "periodogram")
 
 
 def _window(kind: str, length: int) -> np.ndarray:
@@ -104,6 +100,14 @@ def welch(
             f"overlap {overlap} leaves a hop of {hop} samples on a {segment}-sample "
             "segment; segments must advance by at least 1"
         )
+    return _segment_average(ts, segment, hop, window, grid, "Welch estimate")
+
+
+def _segment_average(
+    ts: TimeSeries, segment: int, hop: int, window: str, grid: FrequencyGrid, name: str
+) -> Psd:
+    """Mean of the windowed segment transforms, each normalized by the window
+    energy; the segments start every ``hop`` samples."""
     w = _window(window, segment)
     energy = float(w @ w)
     accum = np.zeros(grid.n)
@@ -114,4 +118,4 @@ def welch(
     try:
         return psd_from_samples(grid, values)
     except ValueError as exc:
-        raise EstimationError(f"Welch estimate is not a valid density: {exc}") from exc
+        raise EstimationError(f"{name} is not a valid density: {exc}") from exc

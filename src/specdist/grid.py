@@ -10,30 +10,33 @@ polynomials of degree d integrate exactly once n > 2d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["FrequencyGrid", "make_grid", "mean", "central_variance"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform angles theta_k = -pi + 2*pi*k/n for k = 0..n-1, weight 1/n each.
 
     The weights sum to one, so summing samples*weight approximates the
-    normalized integral over [-pi, pi).  Grids compare equal iff they have
-    the same node count; nodes are a pure function of ``n``.
+    normalized integral over [-pi, pi).  ``FrequencyGrid(n)`` derives its
+    read-only ``nodes`` from ``n``, and grids compare equal iff they have the
+    same node count.
     """
 
     n: int
-    nodes: np.ndarray
+    nodes: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrequencyGrid) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(self.n)
+    def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"grid needs at least 2 nodes, got {self.n}")
+        nodes = -np.pi + (2.0 * np.pi / self.n) * np.arange(self.n)
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def weight(self) -> float:
@@ -46,26 +49,9 @@ class FrequencyGrid:
 
 @functools.lru_cache(maxsize=16)
 def make_grid(n: int) -> FrequencyGrid:
-    """Build the uniform n-node grid on [-pi, pi).
-
-    Grids are immutable and depend only on ``n``, so repeated calls share
-    one instance (and one ``nodes`` array) per node count.
-
-    Parameters
-    ----------
-    n : int
-        Number of nodes, at least 2.
-
-    Returns
-    -------
-    FrequencyGrid
-    """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 nodes, got {n}")
-    nodes = -np.pi + (2.0 * np.pi / n) * np.arange(n)
-    nodes.setflags(write=False)
-    return FrequencyGrid(n=n, nodes=nodes)
+    """The uniform grid of n >= 2 nodes on [-pi, pi): ``FrequencyGrid(int(n))``,
+    shared, so one instance (and one ``nodes`` array) serves each node count."""
+    return FrequencyGrid(int(n))
 
 
 def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.ndarray:
@@ -113,11 +99,9 @@ def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
     exact for any signal length.
     """
     signed = x * np.where(np.arange(x.size) % 2, -1.0, 1.0)
-    if signed.size <= n:
-        folded = np.zeros(n)
-        folded[: signed.size] = signed
-    else:
+    if signed.size > n:
         padded = np.zeros(-(-signed.size // n) * n)
         padded[: signed.size] = signed
-        folded = padded.reshape(-1, n).sum(axis=0)
-    return np.abs(np.fft.fft(folded)) ** 2
+        signed = padded.reshape(-1, n).sum(axis=0)
+    # fft zero-pads a signal shorter than n itself
+    return np.abs(np.fft.fft(signed, n)) ** 2

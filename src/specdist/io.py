@@ -19,6 +19,9 @@ values as the next on the files it accepts:
 2. one ``np.loadtxt`` over the whole table, for any file whose header line
    is exact;
 3. the row parser, the only one that reports a bad line.
+
+Time-series files take the last two.  Every parse accepts exactly the
+numbers ``float`` accepts.
 """
 
 from __future__ import annotations
@@ -115,6 +118,10 @@ def _write_psd_rows(psd: Psd, fh) -> None:
 # parser too), deleted to read a file's row layout.
 _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n\r"))
 
+# Every byte but the comma and the information separators U+001C-U+001F,
+# deleted to count a file's fields and find the characters only loadtxt takes.
+_NOT_COMMA_OR_SEPARATOR = bytes(set(range(256)) - set(b",\x1c\x1d\x1e\x1f"))
+
 
 def _canonical_psd_table(fh) -> np.ndarray | None:
     """The rest of a text stream positioned after an exact ``theta,psd``
@@ -151,9 +158,10 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
 
     Returns :func:`_read_rows`'s table when the first line is exactly one of
     the ``layouts`` headers (unpadded, LF-terminated), every row has that
-    header's field count and every read field is a finite number.  Returns
-    ``None`` for anything else, so the caller's row parser decides: it
-    accepts the same files and is the only code that names a bad line.
+    header's field count, no byte is U+001C-U+001F and every read field is
+    a finite number.  Returns ``None`` for anything else, so the caller's
+    row parser decides: it accepts the same files and is the only code that
+    names a bad line.
     """
     with open(path, newline="") as fh:
         try:
@@ -168,22 +176,22 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
                     return table
                 fh.seek(0)
                 fh.readline()
-            # usecols accepts rows with extra fields: pass it only to skip a column.
-            usecols = columns if len(columns) < len(names) else None
             with warnings.catch_warnings():
                 # a header-only file: "input contained no data"
                 warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=columns)
         except ValueError:
             return None
-    if table.shape[1] != len(columns) or not np.isfinite(table).all():
+    # loadtxt takes rows with extra fields and U+001C-U+001F for whitespace,
+    # which float refuses.  It refused rows short of usecols, so any kept byte
+    # beyond the header's commas per row is an extra comma or one of those.
+    with open(path, "rb") as fh:
+        kept = sum(
+            len(chunk.translate(None, _NOT_COMMA_OR_SEPARATOR))
+            for chunk in iter(lambda: fh.read(1 << 20), b"")
+        )
+    if kept != (len(table) + 1) * (len(names) - 1) or not np.isfinite(table).all():
         return None
-    if usecols is not None:
-        # loadtxt refused rows short of usecols, so only extra fields add commas.
-        with open(path, "rb") as fh:
-            commas = sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
-        if commas != (len(table) + 1) * (len(names) - 1):
-            return None
     return table
 
 

@@ -87,6 +87,21 @@ def naive_dtft_power(x: np.ndarray, n: int) -> np.ndarray:
     return np.abs(z @ x) ** 2
 
 
+def two_branch_transform_power(x: np.ndarray, n: int) -> np.ndarray:
+    """The grid transform power as the library first computed it: the
+    sign-alternated signal zero-padded to n by hand when it fits, folded
+    modulo n when it is longer, then an n-point FFT.  A bitwise reference."""
+    signed = x * np.where(np.arange(x.size) % 2, -1.0, 1.0)
+    if signed.size <= n:
+        folded = np.zeros(n)
+        folded[: signed.size] = signed
+    else:
+        padded = np.zeros(-(-signed.size // n) * n)
+        padded[: signed.size] = signed
+        folded = padded.reshape(-1, n).sum(axis=0)
+    return np.abs(np.fft.fft(folded)) ** 2
+
+
 def naive_toeplitz_predictor(c: np.ndarray, p: int):
     """Order-p one-step predictor by dense solve of the normal equations.
 

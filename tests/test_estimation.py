@@ -10,7 +10,7 @@ from specdist import (
     welch,
 )
 
-from oracles import ar1_path, naive_dtft_power
+from oracles import ar1_path, naive_dtft_power, two_branch_transform_power
 
 
 class TestTimeSeries:
@@ -65,8 +65,16 @@ class TestPeriodogram:
         psd = periodogram(TimeSeries(x), make_grid(256))
         assert np.mean(psd.values) == pytest.approx(np.mean(x * x), rel=1e-12)
 
+    @pytest.mark.parametrize("length", [2, 3, 8, 100, 4096, 5000, 20000])
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_is_the_scaled_transform_power_bitwise(self, length, n):
+        x = np.random.default_rng(length + n).standard_normal(length)
+        expected = two_branch_transform_power(x, n) / length
+        psd = periodogram(TimeSeries(x), make_grid(n))
+        np.testing.assert_array_equal(psd.values.view(np.uint64), expected.view(np.uint64))
+
     def test_zero_signal_fails_estimation(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="^periodogram is not a valid density"):
             periodogram(TimeSeries(np.zeros(16)), make_grid(16))
 
 
@@ -78,7 +86,7 @@ class TestWelch:
         ts = TimeSeries(x)
         w = welch(ts, segment=128, overlap=0.0, window="rectangular", grid=grid)
         p = periodogram(ts, grid)
-        np.testing.assert_allclose(w.values, p.values, rtol=1e-12)
+        np.testing.assert_array_equal(w.values.view(np.uint64), p.values.view(np.uint64))
 
     def test_white_noise_level(self):
         rng = np.random.default_rng(63)
@@ -116,6 +124,10 @@ class TestWelch:
         ts = TimeSeries(rng.standard_normal(64))
         with pytest.raises(ValueError, match="hop"):
             welch(ts, segment=8, overlap=0.95, window="hann", grid=make_grid(64))
+
+    def test_zero_signal_fails_estimation(self):
+        with pytest.raises(EstimationError, match="^Welch estimate is not a valid density"):
+            welch(TimeSeries(np.zeros(64)), 16, 0.5, "hann", make_grid(16))
 
     def test_unknown_window_is_rejected(self):
         ts = TimeSeries(np.ones(64))

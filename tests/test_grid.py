@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from specdist.grid import _transform_power, central_variance, make_grid, mean
+from specdist import autocov_from_psd, psd_constant
+from specdist.grid import FrequencyGrid, _transform_power, central_variance, make_grid, mean
 
-from oracles import naive_dtft_power, reference_mean
+from oracles import naive_dtft_power, reference_mean, two_branch_transform_power
 
 
 def test_smallest_grid():
@@ -37,6 +38,31 @@ def test_grid_equality_is_by_node_count():
 @pytest.mark.parametrize("n", [2, 16, 4096])
 def test_grid_instances_are_shared(n):
     assert make_grid(n) is make_grid(n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 4096, np.int64(8)])
+def test_constructed_grid_is_the_shared_grid(n):
+    g = FrequencyGrid(n)
+    assert g == make_grid(n) and hash(g) == hash(make_grid(n))
+    np.testing.assert_array_equal(g.nodes.view(np.uint64), make_grid(n).nodes.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0] = 0.0
+
+
+def test_grid_nodes_are_not_an_argument():
+    with pytest.raises(TypeError):
+        FrequencyGrid(n=8, nodes=np.linspace(0.0, 1.0, 8))
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, 8.0])
+def test_grid_constructor_refuses_what_make_grid_refuses(n):
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        FrequencyGrid(n)
+
+
+def test_flat_density_on_a_constructed_grid_is_white():
+    c = autocov_from_psd(psd_constant(FrequencyGrid(8), 1.0), 2)
+    np.testing.assert_allclose(c.lags, [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_mean_of_constant_is_normalized():
@@ -146,3 +172,15 @@ def test_transform_power_matches_dense_sum(length, n):
     x = np.random.default_rng(length * n).standard_normal(length)
     ref = naive_dtft_power(x, n)
     np.testing.assert_allclose(_transform_power(x, n), ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 1024])
+def test_transform_power_is_the_two_branch_transform_bitwise(n):
+    # one FFT call zero-pads short signals; only longer ones are folded
+    rng = np.random.default_rng(n)
+    for length in sorted({1, 2, 5, n - 1, n, n + 1, 3 * n + 2}):
+        x = rng.standard_normal(length)
+        np.testing.assert_array_equal(
+            _transform_power(x, n).view(np.uint64),
+            two_branch_transform_power(x, n).view(np.uint64),
+        )

@@ -221,6 +221,19 @@ SERIES_CORPUS = {
 }
 
 
+# Every Latin-1 character and the other Unicode spaces, each appended to a
+# value field of a file the fast parses take.
+_ONE_CHARACTERS = [
+    chr(c)
+    for c in (*range(0x100), 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+]
+_ONE_CHARACTER_FILES = {
+    "psd": (read_psd_csv, lambda ch: _psd_text(["1.5", "2" + ch, "0.25", "3"]), lambda f: f.values),
+    "t_value": (read_timeseries_csv, lambda ch: f"t,value\n0,1.5\n1,2{ch}\n2,3\n", lambda ts: ts.samples),
+    "value": (read_timeseries_csv, lambda ch: f"value\n1\n2{ch}\n3\n", lambda ts: ts.samples),
+}
+
+
 def _outcome(read, path):
     """What a reader makes of a file: its result, or its exception."""
     try:
@@ -264,6 +277,23 @@ class TestFastParse:
         if not isinstance(rows, Exception):
             np.testing.assert_array_equal(fast.samples.view(np.uint64), rows.samples.view(np.uint64))
             assert fast.label == rows.label
+
+    @pytest.mark.parametrize("kind", sorted(_ONE_CHARACTER_FILES))
+    def test_one_appended_character_matches_row_parser(self, tmp_path, monkeypatch, kind):
+        read, text, vector = _ONE_CHARACTER_FILES[kind]
+        path = tmp_path / f"{kind}.csv"
+        mismatches = []
+        for ch in _ONE_CHARACTERS:
+            path.write_bytes(text(ch).encode())
+            try:
+                fast, rows = self.both(monkeypatch, read, path)
+                if not isinstance(rows, Exception):
+                    np.testing.assert_array_equal(
+                        vector(fast).view(np.uint64), vector(rows).view(np.uint64)
+                    )
+            except AssertionError:
+                mismatches.append(ch)
+        assert mismatches == []
 
     def test_written_files_take_the_fast_path(self, tmp_path, grid1024):
         f = random_positive_spectrum(np.random.default_rng(3), grid1024)
