@@ -62,7 +62,6 @@ from .prediction import (
     rho_empirical,
 )
 from .spectra import (
-    LogRatio,
     Psd,
     SpectralRay,
     arithmetic_mean,
@@ -86,7 +85,6 @@ __all__ = [
     "FrequencyGrid",
     "GeodesicPath",
     "InvalidGridError",
-    "LogRatio",
     "NegativeDensityError",
     "NoFiniteGeodesicError",
     "NotNormalizableError",

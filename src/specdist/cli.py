@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("periodogram", "welch"), default="welch")
     p.add_argument("--segment", type=int, default=256)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--window", choices=("rectangular", "hann"), default="hann")
+    p.add_argument("--window", choices=estimation.WINDOWS, default="hann")
     p.add_argument("--out", required=True, help="output PSD CSV path")
     _add_grid_flag(p)
     p.set_defaults(func=_cmd_estimate)

@@ -69,10 +69,10 @@ def geodesic_distance(f1: Psd, f2: Psd) -> float:
     last bit, insensitive to scaling either argument, and zero iff f1/f2 is
     constant on the grid.
     """
-    lr = log_ratio(f1, f2)
-    if not lr.defined:
+    x = log_ratio(f1, f2)
+    if x is None:
         return math.inf
-    return math.sqrt(central_variance(f1.grid, lr.samples))
+    return math.sqrt(central_variance(f1.grid, x))
 
 
 def scaled_metric_d(f1: Psd, f2: Psd) -> float:
@@ -85,6 +85,15 @@ def scaled_metric_d(f1: Psd, f2: Psd) -> float:
     return d + abs(arithmetic_mean(f1) - arithmetic_mean(f2))
 
 
+def _ratio_gap(f1: Psd, f2: Psd, r: float, s: float) -> float:
+    """Log power mean of order r minus that of order s of the ratio f1/f2,
+    from its :func:`log_ratio` samples; ``inf`` when it has none."""
+    x = log_ratio(f1, f2)
+    if x is None:
+        return math.inf
+    return _log_power_mean(x, r) - _log_power_mean(x, s)
+
+
 def divergence_ag(f1: Psd, f2: Psd) -> float:
     """log of arithmetic mean minus mean of log of the ratio f1/f2.
 
@@ -92,10 +101,7 @@ def divergence_ag(f1: Psd, f2: Psd) -> float:
     either density vanishes where the other does not (the arithmetic term
     or the geometric term diverges).  Not symmetric in its arguments.
     """
-    lr = log_ratio(f1, f2)
-    if not lr.defined:
-        return math.inf
-    return _log_power_mean(lr.samples, 1.0) - _log_power_mean(lr.samples, 0.0)
+    return _ratio_gap(f1, f2, 1.0, 0.0)
 
 
 def divergence_sym(f1: Psd, f2: Psd) -> float:
@@ -119,10 +125,7 @@ def divergence_rs(f1: Psd, f2: Psd, r: float, s: float) -> float:
         raise ValueError("power-mean orders must be nonzero (the 0 limit is the geometric mean)")
     if r == s:
         raise ValueError("power-mean orders must be distinct")
-    lr = log_ratio(f1, f2)
-    if not lr.defined:
-        return math.inf
-    return _log_power_mean(lr.samples, r) - _log_power_mean(lr.samples, s)
+    return _ratio_gap(f1, f2, r, s)
 
 
 def prediction_ratio(f1: Psd, f2: Psd) -> float:

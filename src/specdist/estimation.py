@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .grid import FrequencyGrid, _transform_power, _vector
+from .grid import FrequencyGrid, _transform_power, _Value, _vector
 from .spectra import Psd, psd_from_samples
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
@@ -26,7 +26,7 @@ _MIN_SEGMENT = 8
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(_Value):
     """A finite real signal (a read-only copy, at least two samples) with an optional label."""
 
     samples: np.ndarray

@@ -9,6 +9,7 @@ polynomials of degree d integrate exactly once n > 2d.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import numbers
 from dataclasses import dataclass, field
@@ -18,14 +19,25 @@ import numpy as np
 __all__ = ["FrequencyGrid", "make_grid", "mean", "central_variance"]
 
 
+class _Value:
+    """Value type whose copies and unpickled values are rebuilt by its
+    constructor, so they pass its checks and own read-only arrays."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        fields = dataclasses.fields(self)
+        return type(self), tuple(getattr(self, f.name) for f in fields if f.init)
+
+
 @dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(_Value):
     """Uniform angles theta_k = -pi + 2*pi*k/n for k = 0..n-1, weight 1/n each.
 
     The weights sum to one, so summing samples*weight approximates the
     normalized integral over [-pi, pi).  ``FrequencyGrid(n)`` derives its
-    read-only ``nodes`` from ``n``, and grids compare equal iff they have the
-    same node count.
+    read-only ``nodes`` from ``n``, which it stores as an ``int``, and grids
+    compare equal iff they have the same node count.
     """
 
     n: int
@@ -34,6 +46,7 @@ class FrequencyGrid:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise ValueError(f"grid needs at least 2 nodes, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         nodes = -np.pi + (2.0 * np.pi / self.n) * np.arange(self.n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -47,11 +60,12 @@ class FrequencyGrid:
         return 2.0 * np.pi / self.n
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def make_grid(n: int) -> FrequencyGrid:
-    """The uniform grid of n >= 2 nodes on [-pi, pi): ``FrequencyGrid(int(n))``,
-    shared, so one instance (and one ``nodes`` array) serves each node count."""
-    return FrequencyGrid(int(n))
+    """The uniform grid of n >= 2 nodes on [-pi, pi): ``FrequencyGrid(n)``,
+    shared, so one instance (and one ``nodes`` array) serves each node count.
+    Typed, so ``8.0`` never finds the grid cached for ``np.int64(8)``."""
+    return FrequencyGrid(n)
 
 
 def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.ndarray:
@@ -86,9 +100,18 @@ def central_variance(grid: FrequencyGrid, samples) -> float:
     The centered form is a mean of squares, so the result is nonnegative by
     construction.
     """
-    x = _vector(samples, "samples", grid.n)
-    centered = x - float(np.mean(x))
-    return float(np.mean(centered * centered))
+    return float(_centered_mean_square(np.array(_vector(samples, "samples", grid.n))))
+
+
+def _centered_mean_square(d: np.ndarray) -> np.ndarray:
+    """mean((d - mean(d))^2) along the last axis, computed in place in ``d``.
+
+    Reducing along the contiguous last axis keeps numpy's pairwise summation,
+    so each row of a block gives the bits it gives alone.
+    """
+    d -= d.mean(axis=-1, keepdims=True)
+    d *= d
+    return d.mean(axis=-1)
 
 
 def _transform_power(x: np.ndarray, n: int) -> np.ndarray:

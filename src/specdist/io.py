@@ -40,7 +40,7 @@ import numpy as np
 from .divergences import geodesic_distance
 from .errors import CsvParseError, InvalidGridError, NegativeDensityError
 from .estimation import TimeSeries
-from .grid import make_grid
+from .grid import _centered_mean_square, make_grid
 from .spectra import Psd, _require_same_grid, psd_from_samples
 
 __all__ = [
@@ -307,8 +307,8 @@ def build_distance_matrix(
     Evaluation is single-threaded and vectorized; ``jobs`` is accepted for
     compatibility and ignored.  Strictly positive spectra take their logs
     once, and each row is differenced against the later rows a block at a
-    time, with the same operations and summation order as
-    :func:`geodesic_distance`, so every entry is bit-identical to it.  Pairs
+    time; the block goes through the centered-variance kernel that
+    :func:`geodesic_distance` uses, so every entry is bit-identical to it.  Pairs
     involving a spectrum with zeros go through :func:`geodesic_distance`
     itself, which owns the zero-set bookkeeping and the ``inf`` completion.
     """
@@ -322,22 +322,15 @@ def build_distance_matrix(
     entries = np.zeros((k, k))
     has_zeros = [bool(f.zero_set) for f in spectra]
     positive = [i for i, z in enumerate(has_zeros) if not z]
-    if positive:
-        logs = np.empty((len(positive), spectra[0].grid.n))
-        for row, i in zip(logs, positive):
-            np.log(spectra[i].values, out=row)
-        columns = np.array(positive)
-        scratch = np.empty((min(_PAIR_BLOCK, len(positive)), logs.shape[1]))
-        for a, i in enumerate(positive):
-            for start in range(a + 1, len(positive), _PAIR_BLOCK):
-                js = columns[start : start + _PAIR_BLOCK]
-                d = scratch[: js.size]
-                # central_variance of log f_i - log f_j; reducing along the
-                # contiguous last axis keeps numpy's pairwise summation order.
-                np.subtract(logs[a], logs[start : start + js.size], out=d)
-                d -= d.mean(axis=1, keepdims=True)
-                d *= d
-                entries[i, js] = entries[js, i] = np.sqrt(d.mean(axis=1))
+    logs = np.array([spectra[i].values for i in positive])
+    np.log(logs, out=logs)
+    scratch = np.empty_like(logs[:_PAIR_BLOCK])
+    for a, i in enumerate(positive):
+        for start in range(a + 1, len(positive), _PAIR_BLOCK):
+            js = positive[start : start + _PAIR_BLOCK]
+            d = scratch[: len(js)]
+            np.subtract(logs[a], logs[start : start + len(js)], out=d)
+            entries[i, js] = entries[js, i] = np.sqrt(_centered_mean_square(d))
     for i in range(k):
         for j in range(i + 1, k):
             if has_zeros[i] or has_zeros[j]:

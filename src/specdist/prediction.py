@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid, _transform_power, _vector
+from .grid import FrequencyGrid, _transform_power, _Value, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -37,7 +37,7 @@ _COVARIANCE_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Autocovariance:
+class Autocovariance(_Value):
     """Covariance sequence c_0..c_M of the process with the source density.
 
     Valid sequences have c_0 > 0 and |c_k| <= c_0; ``lags`` is a read-only copy.
@@ -60,7 +60,7 @@ class Autocovariance:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictorCoeffs:
+class PredictorCoeffs(_Value):
     """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of order ``order``
     with the prediction error variance it attains; ``coeffs`` (finite, exactly
     ``order`` long) is stored as a read-only copy."""

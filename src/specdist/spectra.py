@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotNormalizableError, UnstableModelError
-from .grid import FrequencyGrid, _transform_power, _vector
+from .grid import FrequencyGrid, _transform_power, _Value, _vector
 
 __all__ = [
     "Psd",
     "SpectralRay",
-    "LogRatio",
     "psd_from_samples",
     "psd_constant",
     "psd_from_ar",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 @dataclass(frozen=True, eq=False)
-class Psd:
+class Psd(_Value):
     """Nonnegative density samples ``values[k] = f(theta_k)`` on ``grid``.
 
     ``zero_set`` holds the indices where the density is exactly zero; it is
@@ -72,30 +71,6 @@ class SpectralRay:
     a representative."""
 
     representative: Psd
-
-
-@dataclass(frozen=True, eq=False)
-class LogRatio:
-    """Pointwise log(f1/f2), or the marker for pairs that have none.
-
-    ``samples is None`` iff some grid point carries a zero of exactly one of
-    the two densities; the log-ratio then fails to be square-summable in the
-    limit and the geodesic distance is infinite.  At shared zeros the ratio
-    is taken to be one (samples entry 0), so a density stays at distance
-    zero from itself.  Every distance and divergence in
-    :mod:`specdist.divergences` is a functional of these samples.
-    """
-
-    samples: np.ndarray | None
-
-    @property
-    def defined(self) -> bool:
-        return self.samples is not None
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
 
 
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
@@ -163,22 +138,29 @@ def _require_same_grid(f1: Psd, f2: Psd) -> None:
         )
 
 
-def log_ratio(f1: Psd, f2: Psd) -> LogRatio:
-    """Pointwise log(f1/f2) with the zero conventions described on
-    :class:`LogRatio`.
+def log_ratio(f1: Psd, f2: Psd) -> np.ndarray | None:
+    """Pointwise log(f1/f2) as read-only samples, or ``None`` if it has none.
 
-    Computed as log(f1) - log(f2) so that swapping the arguments negates the
-    samples exactly, which keeps the induced distance exactly symmetric.
+    ``None`` means that some grid point carries a zero of exactly one of the
+    two densities: the log-ratio then fails to be square-summable in the
+    limit, and the geodesic distance is ``inf``.  At shared zeros the ratio
+    is taken to be one (sample 0), so a density stays at distance zero from
+    itself.  Computed as log(f1) - log(f2), so swapping the arguments negates
+    the samples exactly, which keeps the induced distance exactly symmetric.
+    Every distance and divergence in :mod:`specdist.divergences` is a
+    functional of these samples.
     """
     _require_same_grid(f1, f2)
     if f1.zero_set != f2.zero_set:
-        return LogRatio(samples=None)
+        return None
     if not f1.zero_set:
-        return LogRatio(samples=_freeze(np.log(f1.values) - np.log(f2.values)))
-    out = np.zeros(f1.grid.n)
-    nz = f1.values != 0.0
-    out[nz] = np.log(f1.values[nz]) - np.log(f2.values[nz])
-    return LogRatio(samples=_freeze(out))
+        out = np.log(f1.values) - np.log(f2.values)
+    else:
+        out = np.zeros(f1.grid.n)
+        nz = f1.values != 0.0
+        out[nz] = np.log(f1.values[nz]) - np.log(f2.values[nz])
+    out.setflags(write=False)
+    return out
 
 
 def _log_power_mean(logs: np.ndarray, r: float) -> float:

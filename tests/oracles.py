@@ -80,6 +80,14 @@ def reference_variance(fn, n: int = 1 << 16) -> float:
     return float(np.mean(v * v) - np.mean(v) ** 2)
 
 
+def two_temporary_central_variance(x: np.ndarray) -> float:
+    """The centered variance as the library first computed it: the mean
+    subtracted as a Python float into one temporary, squared into another.
+    A bitwise reference."""
+    centered = x - float(np.mean(x))
+    return float(np.mean(centered * centered))
+
+
 def naive_dtft_power(x: np.ndarray, n: int) -> np.ndarray:
     """|sum_t x_t e^{-i t theta_k}|^2 by direct O(L*n) evaluation."""
     theta = -np.pi + 2.0 * np.pi * np.arange(n) / n

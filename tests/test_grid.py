@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from specdist import autocov_from_psd, psd_constant
-from specdist.grid import FrequencyGrid, _transform_power, central_variance, make_grid, mean
+from specdist.grid import (
+    FrequencyGrid,
+    _centered_mean_square,
+    _transform_power,
+    central_variance,
+    make_grid,
+    mean,
+)
 
-from oracles import naive_dtft_power, reference_mean, two_branch_transform_power
+from oracles import (
+    naive_dtft_power,
+    reference_mean,
+    two_branch_transform_power,
+    two_temporary_central_variance,
+)
 
 
 def test_smallest_grid():
@@ -43,6 +55,7 @@ def test_grid_instances_are_shared(n):
 @pytest.mark.parametrize("n", [2, 7, 8, 4096, np.int64(8)])
 def test_constructed_grid_is_the_shared_grid(n):
     g = FrequencyGrid(n)
+    assert type(g.n) is int and type(make_grid(n).n) is int
     assert g == make_grid(n) and hash(g) == hash(make_grid(n))
     np.testing.assert_array_equal(g.nodes.view(np.uint64), make_grid(n).nodes.view(np.uint64))
     with pytest.raises(ValueError, match="read-only"):
@@ -54,10 +67,17 @@ def test_grid_nodes_are_not_an_argument():
         FrequencyGrid(n=8, nodes=np.linspace(0.0, 1.0, 8))
 
 
-@pytest.mark.parametrize("n", [1, 0, -3, 8.0])
+@pytest.mark.parametrize("n", [1, 0, -3, 8.0, 8.5])
 def test_grid_constructor_refuses_what_make_grid_refuses(n):
+    for build in (FrequencyGrid, make_grid):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            build(n)
+
+
+def test_make_grid_refuses_a_float_equal_to_a_cached_integer():
+    make_grid(8), make_grid(np.int64(8))
     with pytest.raises(ValueError, match="at least 2 nodes"):
-        FrequencyGrid(n)
+        make_grid(8.0)
 
 
 def test_flat_density_on_a_constructed_grid_is_white():
@@ -109,6 +129,20 @@ def test_variance_of_cos():
 def test_variance_scales_and_shifts():
     g = make_grid(64)
     assert central_variance(g, 3.0 * np.cos(g.nodes) + 5.0) == pytest.approx(4.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 1000, 4096, 8193])
+def test_centered_variance_is_the_two_temporary_formula_bitwise(n):
+    # one in-place kernel serves central_variance and each row of a block
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((32, n)) * rng.choice([1e-6, 1.0, 1e6], size=(32, 1))
+    block += rng.choice([0.0, 1.0, -3e4], size=(32, 1))
+    expected = np.array([two_temporary_central_variance(x) for x in block])
+    g = make_grid(n)
+    actual = np.array([central_variance(g, x) for x in block])
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+    rows = _centered_mean_square(block.copy())
+    np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 def test_mean_is_linear():

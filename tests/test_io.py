@@ -374,6 +374,27 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(m.view(np.uint64), m.T.view(np.uint64))
         np.testing.assert_array_equal(np.diag(m).view(np.uint64), 0)
 
+    def test_no_strictly_positive_spectrum(self, grid64):
+        # two groups sharing a zero set, and two spectra with zeros of their own
+        rng = np.random.default_rng(11)
+        zero_sets = [(3,), (3,), (7, 8), (7, 8), (7, 8), (20,), (40,)]
+        spectra = []
+        for zeros in zero_sets:
+            values = np.array(random_positive_spectrum(rng, grid64).values)
+            values[list(zeros)] = 0.0
+            spectra.append(psd_from_samples(grid64, values))
+        m = build_distance_matrix(spectra, [f"s{i}" for i in range(len(spectra))]).entries
+        for i, zi in enumerate(zero_sets):
+            for j, zj in enumerate(zero_sets):
+                if i != j:
+                    assert m[i, j] == geodesic_distance(spectra[i], spectra[j])
+                assert math.isinf(m[i, j]) == (zi != zj)
+        np.testing.assert_array_equal(np.diag(m), 0.0)
+
+    def test_no_spectra(self):
+        m = build_distance_matrix([], [])
+        assert m.labels == () and m.entries.shape == (0, 0)
+
     def test_mixed_grids_name_the_first_mismatch(self, grid64, grid1024):
         spectra = [psd_constant(grid64, 1.0), psd_with_zero_at(grid64, 2), psd_constant(grid1024, 1.0)]
         with pytest.raises(ValueError, match=r"different grids \(n = 64 vs 1024\)"):

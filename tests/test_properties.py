@@ -22,6 +22,9 @@ from specdist import (
     write_psd_csv,
 )
 from specdist import io as specdist_io
+from specdist.grid import _centered_mean_square, central_variance
+
+from oracles import two_temporary_central_variance
 
 GRID = make_grid(64)
 
@@ -135,3 +138,21 @@ def test_geodesic_path_is_intrinsic(pair, tau):
     for m in (2, 3, 11, 101):
         assert abs(path_length(geodesic_path(f0, f1, m)) - d) <= 1e-10
     assert abs(geodesic_distance(f0, geodesic_point(f0, f1, tau)) - tau * d) <= 1e-10
+
+
+blocks = st.integers(min_value=2, max_value=300).flatmap(
+    lambda n: arrays(
+        np.float64,
+        st.tuples(st.integers(min_value=1, max_value=8), st.just(n)),
+        elements=st.floats(min_value=-1e6, max_value=1e6),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(block=blocks)
+def test_centered_variance_kernel_is_the_two_temporary_formula(block):
+    expected = [_bits(two_temporary_central_variance(x)) for x in block]
+    grid = make_grid(block.shape[1])
+    assert [_bits(central_variance(grid, x)) for x in block] == expected
+    assert [_bits(v) for v in _centered_mean_square(block.copy())] == expected

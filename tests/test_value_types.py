@@ -1,10 +1,15 @@
 """Value objects own their vectors: each stores a checked, read-only copy."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from specdist import (
     Autocovariance,
+    FrequencyGrid,
     PredictorCoeffs,
     Psd,
     TimeSeries,
@@ -48,6 +53,36 @@ def test_a_list_is_stored_as_float64(kind):
     build, stored = OWNERS[kind]
     v = stored(build([1, 0, 0, 0, 0, 0, 0, 0]))
     assert v.dtype == np.float64 and v.tolist() == [1.0] + [0.0] * 7
+
+
+# One value of each type, and the routes by which a caller can copy it.
+VALUES = {
+    "FrequencyGrid": lambda: FrequencyGrid(8),
+    "Psd": lambda: Psd(GRID, [1, 0, 2, 3, 4, 5, 6, 7]),
+    "TimeSeries": lambda: TimeSeries(samples=[1.5, -2.0, 3.0], label="x"),
+    "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5], grid=GRID),
+    "PredictorCoeffs": lambda: PredictorCoeffs(order=2, coeffs=[0.5, -0.25], attained_variance=1.5),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COPIES))
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_a_copy_is_rebuilt_by_the_constructor(kind, route):
+    original = VALUES[kind]()
+    copied = COPIES[route](original)
+    assert type(copied) is type(original)
+    for f in dataclasses.fields(original):
+        a, b = getattr(original, f.name), getattr(copied, f.name)
+        if isinstance(a, np.ndarray):
+            assert not b.flags.writeable and b.dtype == a.dtype
+            np.testing.assert_array_equal(b.view(np.uint64), a.view(np.uint64))
+        else:
+            assert b == a
 
 
 class TestPsd:
