@@ -10,6 +10,7 @@ use Welch averaging (or floor explicitly) if that is not what you want.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
 WINDOWS = ("rectangular", "hann")
 
 _MIN_SEGMENT = 8
+
+# Segments transformed per call: larger blocks run no faster and hold more
+# scratch memory (about 1.4 MiB at 16 rows on a 4096-node grid).
+_SEGMENT_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +79,10 @@ def welch(
     Each segment transform is normalized by the window energy sum(w^2), so
     a white-noise input of variance v estimates a flat density of level v
     regardless of the window.  Segments advance by
-    ``hop = floor(segment * (1 - overlap))``, which must be at least 1.
+    ``hop = floor(segment * (1 - overlap))``, which must be at least 1; the
+    product is rounded to 9 decimals before the floor, so the hop is that of
+    the decimal overlap as written (segment 10 at overlap 0.9 advances by 1
+    sample, not 0) rather than of its nearest binary float.
 
     Parameters
     ----------
@@ -94,7 +102,7 @@ def welch(
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    hop = int(np.floor(segment * (1.0 - overlap)))
+    hop = math.floor(round(segment * (1.0 - overlap), 9))
     if hop < 1:
         raise ValueError(
             f"overlap {overlap} leaves a hop of {hop} samples on a {segment}-sample "
@@ -107,14 +115,16 @@ def _segment_average(
     ts: TimeSeries, segment: int, hop: int, window: str, grid: FrequencyGrid, name: str
 ) -> Psd:
     """Mean of the windowed segment transforms, each normalized by the window
-    energy; the segments start every ``hop`` samples."""
+    energy; the segments start every ``hop`` samples and are transformed
+    ``_SEGMENT_BLOCK`` at a time."""
     w = _window(window, segment)
     energy = float(w @ w)
+    frames = np.lib.stride_tricks.sliding_window_view(ts.samples, segment)[::hop]
     accum = np.zeros(grid.n)
-    starts = range(0, len(ts) - segment + 1, hop)
-    for start in starts:
-        accum += _transform_power(w * ts.samples[start : start + segment], grid.n)
-    values = accum / (len(starts) * energy)
+    for first in range(0, len(frames), _SEGMENT_BLOCK):
+        block = frames[first : first + _SEGMENT_BLOCK]
+        accum += _transform_power(block * w, grid.n).sum(axis=0)
+    values = accum / (len(frames) * energy)
     try:
         return psd_from_samples(grid, values)
     except ValueError as exc:

@@ -115,16 +115,23 @@ def _centered_mean_square(d: np.ndarray) -> np.ndarray:
 
 
 def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
-    """|sum_t x_t e^{-i t theta_k}|^2 at the grid nodes theta_k = -pi + 2 pi k / n.
+    """|sum_t x_t e^{-i t theta_k}|^2 at the grid nodes theta_k = -pi + 2 pi k / n,
+    for each row along the last axis of a 1-d or 2-d ``x``.
 
     Since e^{-i t theta_k} = (-1)^t e^{-2 pi i t k / n}, the sum equals an
     n-point DFT of the sign-alternated signal folded modulo n; the fold is
-    exact for any signal length.
+    exact for any signal length.  That signal is real, so its DFT is
+    conjugate-symmetric and node k carries the power of node n - k: a real
+    FFT gives nodes 0..n//2 and the rest are their mirror, for even and odd
+    n alike.  Each row gives the bits it gives alone.
     """
-    signed = x * np.where(np.arange(x.size) % 2, -1.0, 1.0)
-    if signed.size > n:
-        padded = np.zeros(-(-signed.size // n) * n)
-        padded[: signed.size] = signed
-        signed = padded.reshape(-1, n).sum(axis=0)
-    # fft zero-pads a signal shorter than n itself
-    return np.abs(np.fft.fft(signed, n)) ** 2
+    length = x.shape[-1]
+    signed = x * np.where(np.arange(length) % 2, -1.0, 1.0)
+    if length > n:
+        padded = np.zeros(x.shape[:-1] + (-(-length // n) * n,))
+        padded[..., :length] = signed
+        signed = padded.reshape(x.shape[:-1] + (-1, n)).sum(axis=-2)
+    # rfft zero-pads a signal shorter than n itself
+    half = np.fft.rfft(signed, n)
+    power = half.real**2 + half.imag**2
+    return np.concatenate((power, power[..., n - power.shape[-1] : 0 : -1]), axis=-1)

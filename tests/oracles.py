@@ -95,6 +95,32 @@ def naive_dtft_power(x: np.ndarray, n: int) -> np.ndarray:
     return np.abs(z @ x) ** 2
 
 
+def long_double_dtft_power(x: np.ndarray, n: int) -> np.ndarray:
+    """|sum_t x_t e^{-i t theta_k}|^2 by direct O(L*n) evaluation in long
+    double.  Each phase t * theta_k is reduced exactly in integers to
+    pi * ((2 t k - n t) mod 2n) / n before its cosine and sine are taken."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    t = np.arange(len(x))
+    k = np.arange(n)
+    phase = pi * ((2 * np.outer(k, t) - n * t) % (2 * n)).astype(np.longdouble) / n
+    xl = np.asarray(x, dtype=np.longdouble)
+    re = np.cos(phase) @ xl
+    im = np.sin(phase) @ xl
+    return re * re + im * im
+
+
+def dense_welch_power(x, segment, hop, n, window=None):
+    """Mean of the windowed segment powers by direct DTFT, each normalized
+    by the window energy, for segments starting every ``hop`` samples."""
+    if window is None:
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
+    powers = [
+        naive_dtft_power(window * x[start : start + segment], n)
+        for start in range(0, len(x) - segment + 1, hop)
+    ]
+    return np.mean(powers, axis=0) / (window @ window)
+
+
 def two_branch_transform_power(x: np.ndarray, n: int) -> np.ndarray:
     """The grid transform power as the library first computed it: the
     sign-alternated signal zero-padded to n by hand when it fits, folded

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdist import make_grid, psd_from_samples, write_psd_csv
+from specdist import TimeSeries, estimation, make_grid, psd_from_samples, write_psd_csv
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,7 +31,8 @@ def _load(name):
     return module
 
 
-LAYERS = _load("tracer").LAYERS
+TRACER = _load("tracer")
+LAYERS = TRACER.LAYERS
 INPUTS = _load("inputs")
 
 
@@ -52,3 +53,25 @@ def test_benchmark_inputs_are_the_bytes_specdist_writes(n):
     stream = io.StringIO()
     write_psd_csv(psd_from_samples(make_grid(n), values), stream)
     assert INPUTS.format_psd_csv(values) == stream.getvalue()
+
+
+def test_traced_segment_count_is_the_frames_welch_averages(monkeypatch):
+    # the tracer counts segments with its own hop formula, so the count it
+    # reports for estimate-1m is true only while that formula agrees with
+    # welch's on the benchmark's setting
+    rows = []
+    transform = estimation._transform_power
+
+    def counted(x, n):
+        rows.append(len(x))
+        return transform(x, n)
+
+    monkeypatch.setattr(estimation, "_transform_power", counted)
+    ts = TimeSeries(np.random.default_rng(0).standard_normal(INPUTS.SERIES_LEN))
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        estimation.welch(ts, INPUTS.WELCH_SEGMENT, INPUTS.WELCH_OVERLAP, "hann", make_grid(8))
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["counts"]["estimation.welch.segments"] == sum(rows)

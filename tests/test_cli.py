@@ -241,6 +241,20 @@ class TestEstimateAndClassify:
         assert psd.grid.n == 512
         assert abs(float(np.mean(psd.values)) - 1.0) < 0.15
 
+    def test_estimate_hop_is_that_of_the_decimal_overlap(self, capsys, tmp_path):
+        # 10 * (1 - 0.9) is just below 1 in binary floating point
+        series = tmp_path / "ramp.csv"
+        series.write_text("value\n" + "\n".join(f"{(7 * i) % 11}" for i in range(40)) + "\n")
+        out = tmp_path / "est.csv"
+        code, _, err = run(
+            capsys,
+            "estimate", series, "--method", "welch",
+            "--segment", 10, "--overlap", 0.9, "--window", "rectangular",
+            "--grid", 16, "--out", out,
+        )
+        assert (code, err) == (0, "")
+        assert read_psd_csv(out).grid.n == 16
+
     def test_estimate_periodogram(self, capsys, tmp_path):
         series = tmp_path / "impulse.csv"
         series.write_text("value\n1\n0\n0\n0\n")

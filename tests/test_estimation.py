@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from specdist import (
     welch,
 )
 
-from oracles import ar1_path, naive_dtft_power, two_branch_transform_power
+from specdist.estimation import _SEGMENT_BLOCK
+from specdist.grid import _transform_power
+
+from oracles import ar1_path, dense_welch_power, naive_dtft_power
 
 
 class TestTimeSeries:
@@ -69,7 +74,7 @@ class TestPeriodogram:
     @pytest.mark.parametrize("n", [8, 64, 4096])
     def test_is_the_scaled_transform_power_bitwise(self, length, n):
         x = np.random.default_rng(length + n).standard_normal(length)
-        expected = two_branch_transform_power(x, n) / length
+        expected = _transform_power(x, n) / length
         psd = periodogram(TimeSeries(x), make_grid(n))
         np.testing.assert_array_equal(psd.values.view(np.uint64), expected.view(np.uint64))
 
@@ -87,6 +92,48 @@ class TestWelch:
         w = welch(ts, segment=128, overlap=0.0, window="rectangular", grid=grid)
         p = periodogram(ts, grid)
         np.testing.assert_array_equal(w.values.view(np.uint64), p.values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [1, _SEGMENT_BLOCK - 1, _SEGMENT_BLOCK, _SEGMENT_BLOCK + 1, 2 * _SEGMENT_BLOCK + 1],
+    )
+    @pytest.mark.parametrize("segment,n", [(16, 16), (16, 17), (40, 17), (64, 32)])
+    def test_is_the_mean_of_dense_segment_transforms(self, segments, segment, n):
+        # odd and even grids, segments folded onto a shorter grid, and
+        # segment counts on both sides of the block size
+        hop = segment // 2
+        x = np.random.default_rng(segments * n + segment).standard_normal(
+            segment + (segments - 1) * hop
+        )
+        psd = welch(TimeSeries(x), segment, 0.5, "hann", make_grid(n))
+        ref = dense_welch_power(x, segment, hop, n)
+        np.testing.assert_allclose(psd.values, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+    @pytest.mark.parametrize(
+        "segment,overlap,hop,length",
+        [(10, 0.9, 1, 90), (30, 0.9, 3, 90), (100, 0.55, 45, 400), (20, 0.3, 14, 100)],
+    )
+    def test_hop_is_that_of_the_decimal_overlap(self, segment, overlap, hop, length):
+        # segment * (1 - overlap) falls just below an integer in binary
+        # floating point for the first three, so a bare floor loses a sample
+        x = np.random.default_rng(segment).standard_normal(length)
+        psd = welch(TimeSeries(x), segment, overlap, "rectangular", make_grid(32))
+        np.testing.assert_allclose(
+            psd.values, dense_welch_power(x, segment, hop, 32, window=np.ones(segment)), rtol=1e-12
+        )
+
+    def test_welch_holds_a_few_blocks_of_scratch_memory(self):
+        # 1023 segments of 512 samples on 4096 nodes: the whole batch of
+        # transforms would take over 30 MiB
+        ts = TimeSeries(np.random.default_rng(66).standard_normal(1 << 18))
+        grid = make_grid(4096)
+        tracemalloc.start()
+        try:
+            welch(ts, 512, 0.5, "hann", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_white_noise_level(self):
         rng = np.random.default_rng(63)

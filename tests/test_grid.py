@@ -12,6 +12,7 @@ from specdist.grid import (
 )
 
 from oracles import (
+    long_double_dtft_power,
     naive_dtft_power,
     reference_mean,
     two_branch_transform_power,
@@ -208,13 +209,29 @@ def test_transform_power_matches_dense_sum(length, n):
     np.testing.assert_allclose(_transform_power(x, n), ref, rtol=1e-12, atol=1e-12 * ref.max())
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 4096])
+def test_transform_power_rows_are_the_one_row_transform_bitwise(n):
+    # a block of segments gives each segment the bits it gives alone
+    rng = np.random.default_rng(n)
+    for length in sorted({1, 2, 5, n - 1, n, n + 1, 3 * n + 2}):
+        for rows in (1, 15, 16, 17, 33):
+            x = rng.standard_normal((rows, length))
+            batch = _transform_power(x, n)
+            assert batch.shape == (rows, n)
+            for row, power in zip(x, batch):
+                np.testing.assert_array_equal(
+                    power.view(np.uint64), _transform_power(row, n).view(np.uint64)
+                )
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 1024])
-def test_transform_power_is_the_two_branch_transform_bitwise(n):
-    # one FFT call zero-pads short signals; only longer ones are folded
+def test_transform_power_is_as_accurate_as_the_two_branch_transform(n):
+    # the real FFT and the old complex FFT both stay at rounding level of a
+    # long-double dense transform
     rng = np.random.default_rng(n)
     for length in sorted({1, 2, 5, n - 1, n, n + 1, 3 * n + 2}):
         x = rng.standard_normal(length)
-        np.testing.assert_array_equal(
-            _transform_power(x, n).view(np.uint64),
-            two_branch_transform_power(x, n).view(np.uint64),
-        )
+        ref = long_double_dtft_power(x, n)
+        bound = 4e-15 * float(ref.max())
+        for power in (_transform_power(x, n), two_branch_transform_power(x, n)):
+            assert float(np.max(np.abs(power - ref))) <= bound
