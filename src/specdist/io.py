@@ -17,11 +17,14 @@ values as the next on the files it accepts:
    line ends and the cached theta text: it converts only the values and
    takes the thetas from the grid;
 2. one ``np.loadtxt`` over the whole table, for any file whose header line
-   is exact;
+   is exact: loadtxt is given the file's absolute name, not an open handle,
+   so it reads the file in chunks in C;
 3. the row parser, the only one that reports a bad line.
 
 Time-series files take the last two.  Every parse accepts exactly the
-numbers ``float`` accepts.
+numbers ``float`` accepts.  A file whose name ends in ``.gz``, ``.bz2``,
+``.xz`` or ``.lzma`` skips the loadtxt parse, because numpy would open it
+with a decompressor; every file is read as plain text, whatever its name.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +72,10 @@ _SPACING_RTOL = 1e-9
 # text would hold on to megabytes.
 _CANONICAL_MAX_N = 1 << 14
 
+# File name suffixes numpy's datasource opens with a decompressor, so
+# np.loadtxt would not read such a file as the plain text it is.
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
 # Rows of strictly positive spectra differenced against one row at a time in
 # the pair loop; caps the scratch block at this many grid-length vectors.
 _PAIR_BLOCK = 32
@@ -104,14 +112,13 @@ def _theta_text(n: int) -> tuple[str, ...]:
 
 
 def _write_psd_rows(psd: Psd, fh) -> None:
-    # Numbers never need CSV quoting, so the rows are formatted directly.
-    fh.write(",".join(PSD_HEADER) + "\n")
-    fh.writelines(
-        [
-            f"{theta},{value:.17g}\n"
-            for theta, value in zip(_theta_text(psd.grid.n), psd.values.tolist())
-        ]
-    )
+    # Numbers never need CSV quoting, so the whole file is one %-format of
+    # the interleaved theta text and values ("%.17g" is what f"{v:.17g}" gives).
+    n = psd.grid.n
+    fields = [None] * (2 * n)
+    fields[0::2] = _theta_text(n)
+    fields[1::2] = psd.values.tolist()
+    fh.write((",".join(PSD_HEADER) + "\n" + "%s,%.17g\n" * n) % tuple(fields))
 
 
 # Every byte but the field and line separators (CR ends a line for the row
@@ -158,13 +165,14 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
 
     Returns :func:`_read_rows`'s table when the first line is exactly one of
     the ``layouts`` headers (unpadded, LF-terminated), every row has that
-    header's field count, no byte is U+001C-U+001F and every read field is
-    a finite number.  Returns ``None`` for anything else, so the caller's
-    row parser decides: it accepts the same files and is the only code that
-    names a bad line.
+    header's field count, no byte is U+001C-U+001F, every read field is a
+    finite number and, unless the canonical PSD parse takes the file, the
+    name has none of the ``_DECOMPRESSED_SUFFIXES``.  Returns ``None`` for
+    anything else, so the caller's row parser decides: it accepts the same
+    files and is the only code that names a bad line.
     """
-    with open(path, newline="") as fh:
-        try:
+    try:
+        with open(path, newline="") as fh:
             header = fh.readline()
             names = tuple(header[:-1].split(","))
             columns = layouts.get(names) if header.endswith("\n") else None
@@ -174,14 +182,21 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
                 table = _canonical_psd_table(fh)
                 if table is not None:
                     return table
-                fh.seek(0)
-                fh.readline()
-            with warnings.catch_warnings():
-                # a header-only file: "input contained no data"
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=columns)
-        except ValueError:
+        # Given a name, loadtxt reads the file in chunks in C (given a handle,
+        # it iterates its lines in Python).  Numpy opens a name through its
+        # datasource, which decompresses by suffix and fetches "scheme://netloc"
+        # names, so only an absolute name without such a suffix is handed over.
+        name = os.path.abspath(os.fsdecode(path))
+        if os.path.splitext(name)[1] in _DECOMPRESSED_SUFFIXES:
             return None
+        with warnings.catch_warnings():
+            # a header-only file: "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                name, delimiter=",", comments=None, skiprows=1, ndmin=2, usecols=columns
+            )
+    except ValueError:
+        return None
     # loadtxt takes rows with extra fields and U+001C-U+001F for whitespace,
     # which float refuses.  It refused rows short of usecols, so any kept byte
     # beyond the header's commas per row is an extra comma or one of those.
@@ -348,8 +363,10 @@ def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:
     csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
         [["", *matrix.labels], *([label, ""] for label in matrix.labels)]
     )
+    # One "%.12g" (format_scalar's format) per entry formats a row at once.
+    template = ",".join(["%.12g"] * len(matrix.labels)) + "\n"
     rows = [
-        prefix[:-1] + ",".join(map(format_scalar, row)) + "\n"
+        prefix[:-1] + template % tuple(row)
         for prefix, row in zip(lines[1:], matrix.entries.tolist())
     ]
     try:

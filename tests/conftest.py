@@ -3,6 +3,10 @@ import pytest
 
 from specdist import make_grid, psd_constant, psd_from_ar, psd_from_samples
 
+# The extremes a density value can take: zero, the least subnormal, the least
+# normal and the largest double.
+EXTREME_DENSITIES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
 
 @pytest.fixture(scope="session")
 def grid64():

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own code paths: series
 summations for the special-function values, midpoint-rule quadrature on a
 staggered grid for integrals, direct DTFT and dense Toeplitz solves for
-the transform and prediction checks.
+the transform and prediction checks, per-row formatting for written bytes.
 """
 
 import math
@@ -134,6 +134,13 @@ def two_branch_transform_power(x: np.ndarray, n: int) -> np.ndarray:
         padded[: signed.size] = signed
         folded = padded.reshape(-1, n).sum(axis=0)
     return np.abs(np.fft.fft(folded)) ** 2
+
+
+def per_row_psd_csv(nodes: np.ndarray, values: np.ndarray) -> str:
+    """A PSD file as specdist first wrote it, one f-string per row, each
+    theta and value with 17 significant digits.  A byte reference."""
+    rows = zip(np.asarray(nodes).tolist(), np.asarray(values).tolist())
+    return "theta,psd\n" + "".join(f"{theta:.17g},{value:.17g}\n" for theta, value in rows)
 
 
 def naive_toeplitz_predictor(c: np.ndarray, p: int):

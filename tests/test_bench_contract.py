@@ -5,7 +5,8 @@
 deletion here would break the benchmark; this test says so first.  The
 benchmark also writes its PSD inputs with its own writer, and they must be
 the bytes specdist writes, or its matrix workload stops measuring the parse
-real files take.
+real files take; and its PSD and series files must take the fast parses, or
+its matrix and estimate workloads start measuring the row parser.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from specdist import TimeSeries, estimation, make_grid, psd_from_samples, write_psd_csv
+from specdist import io as specdist_io
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,6 +55,31 @@ def test_benchmark_inputs_are_the_bytes_specdist_writes(n):
     stream = io.StringIO()
     write_psd_csv(psd_from_samples(make_grid(n), values), stream)
     assert INPUTS.format_psd_csv(values) == stream.getvalue()
+
+
+def test_benchmark_series_files_take_the_vectorized_parse(tmp_path):
+    # estimate-1m measures the parse its series file takes; the row parser
+    # would be several times slower
+    samples = np.random.default_rng(5).standard_normal(1000)
+    path = tmp_path / "series.csv"
+    INPUTS.write_series_csv(path, samples)
+    table = specdist_io._numeric_table(path, specdist_io._SERIES_LAYOUTS)
+    assert table is not None
+    np.testing.assert_array_equal(table[:, 0].view(np.uint64), samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 7, 4096])
+def test_benchmark_psd_files_take_the_canonical_parse(tmp_path, n):
+    # matrix-k200 measures the parse its 200 PSD files take
+    values = np.random.default_rng(n).exponential(size=n)
+    values[n // 2] = 0.0
+    path = tmp_path / "f.csv"
+    INPUTS.write_psd_csv(path, values)
+    with open(path, newline="") as fh:
+        assert fh.readline() == "theta,psd\n"
+        table = specdist_io._canonical_psd_table(fh)
+    assert table is not None
+    np.testing.assert_array_equal(table[:, 1].view(np.uint64), values.view(np.uint64))
 
 
 def test_traced_segment_count_is_the_frames_welch_averages(monkeypatch):

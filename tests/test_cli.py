@@ -6,6 +6,7 @@ import pytest
 from specdist import (
     GeodesicPath,
     geodesic_distance,
+    geodesic_point,
     path_length,
     psd_constant,
     psd_from_ar,
@@ -16,6 +17,7 @@ from specdist import (
 from specdist.cli import main
 
 from conftest import psd_with_zero_at
+from oracles import per_row_psd_csv
 
 
 @pytest.fixture()
@@ -156,6 +158,14 @@ class TestGeodesic:
         mid = read_psd_csv(mid_file)
         expected = read_psd_csv(fixtures["expcos"])
         np.testing.assert_allclose(mid.values, expected.values, rtol=1e-14)
+
+    def test_tau_stdout_is_the_per_row_text(self, capsys, fixtures):
+        code, out, _ = run(
+            capsys, "geodesic", fixtures["ar05"], fixtures["expcos2"], "--tau", 0.25
+        )
+        assert code == 0
+        point = geodesic_point(read_psd_csv(fixtures["ar05"]), read_psd_csv(fixtures["expcos2"]), 0.25)
+        assert out == per_row_psd_csv(point.grid.nodes, point.values)
 
     def test_steps_write_a_path_that_reproduces_dist(self, capsys, tmp_path, fixtures):
         out_dir = tmp_path / "morph"

@@ -1,10 +1,15 @@
 import csv
 import io
 import math
+import os
+import urllib.request
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specdist import (
     CsvParseError,
@@ -22,9 +27,10 @@ from specdist import (
     write_psd_csv,
 )
 from specdist import io as specdist_io
-from specdist.io import format_scalar
+from specdist.io import DistanceMatrix, format_scalar
 
-from conftest import psd_with_zero_at, random_positive_spectrum
+from conftest import EXTREME_DENSITIES, psd_with_zero_at, random_positive_spectrum
+from oracles import per_row_psd_csv
 
 
 class TestPsdRoundTrip:
@@ -192,6 +198,19 @@ PSD_CORPUS = {
     "value_minus_one": _psd_text(["1.5", "-1", "0.25", "3"]),
     "value_leading_space": _psd_text(["1.5", "2", " 1", "3"]),
     "value_form_feed": _psd_text(["1.5\x0c", "\x0b2", "0.25", "3"]),
+    # Where reading with universal newlines (loadtxt given a file name) could
+    # differ from reading with newline="" (the row parser).
+    "cr": _psd_text(["1.5", "2", "0.25", "3"], end="\r"),
+    "cr_body": "theta,psd\n" + _psd_text(["1.5", "2", "0.25", "3"], end="\r").split("\r", 1)[1],
+    "cr_cr_body": "theta,psd\n" + _psd_text(["1.5", "2", "0.25", "3"], end="\r\r").split("\r\r", 1)[1],
+    "final_bare_cr": _psd_text(["1.5", "2", "0.25", "3"]).removesuffix("\n") + "\r",
+    "cr_in_theta": _psd_text(["1.5", "2", "0.25", "3"]).replace(_THETAS[1], _THETAS[1][:4] + "\r" + _THETAS[1][4:]),
+    "cr_in_value": _psd_text(["1.5", "2\r5", "0.25", "3"]),
+    "cr_in_quoted_value": _psd_text(["1.5", '"2\r"', "0.25", "3"]),
+    "bom": "\ufeff" + _psd_text(["1.5", "2", "0.25", "3"]),
+    "bom_in_value": _psd_text(["1.5", "\ufeff2", "0.25", "3"]),
+    "u2028_in_value": _psd_text(["1.5", "2\u20285", "0.25", "3"]),
+    "u0085_in_value": _psd_text(["1.5", "2\x85", "0.25", "3"]),
 }
 
 SERIES_CORPUS = {
@@ -218,6 +237,21 @@ SERIES_CORPUS = {
     "negative_zero": "value\n-0.0\n1\n",
     "no_final_newline": "value\n1\n2",
     "timestamp_t": "t,value\n2024-01-01,1\n2024-01-02,2\n",
+    # Where reading with universal newlines could differ from newline="".
+    "cr": "t,value\r0,1.5\r1,2.5\r",
+    "cr_body_t_value": "t,value\n0,1.5\r1,-2.5\r2,3.5\r",
+    "cr_body_value": "value\n1\r-2\r3e-3\r",
+    "cr_cr_body": "value\n1\r\r2\r\r",
+    "final_bare_cr": "t,value\n0,1\n1,2\r",
+    "cr_in_t": "t,value\n0\r5,1\n1,2\n",
+    "cr_in_quoted_t": 't,value\n"0\r5",1\n1,2\n',
+    "cr_in_value": "t,value\n0,1\r5\n1,2\n",
+    "cr_in_quoted_value": 'value\n"1\r"\n2\n',
+    "bom": "\ufeffvalue\n1\n2\n",
+    "bom_in_value": "value\n1\n\ufeff2\n",
+    "bom_in_t": "t,value\n\ufeff0,1\n1,2\n",
+    "u2028_in_value": "value\n1\u20282\n3\n",
+    "u0085_in_value": "t,value\n0,1\x85\n1,2\n",
 }
 
 
@@ -232,6 +266,26 @@ _ONE_CHARACTER_FILES = {
     "t_value": (read_timeseries_csv, lambda ch: f"t,value\n0,1.5\n1,2{ch}\n2,3\n", lambda ts: ts.samples),
     "value": (read_timeseries_csv, lambda ch: f"value\n1\n2{ch}\n3\n", lambda ts: ts.samples),
 }
+
+
+# Plain-text files under names numpy's datasource would decompress, or
+# fetch as a URL, were they handed to np.loadtxt as they are.
+_PLAIN_TEXT_NAMES = [
+    "series.gz", "series.bz2", "series.xz", "series.lzma", "series.csv.gz", "series.zip",
+    "http://host/x.csv",
+]
+_NAMED_FILES = {
+    "psd": (read_psd_csv, PSD_CORPUS["theta_16_digits"], lambda f: f.values),
+    "psd_canonical": (read_psd_csv, PSD_CORPUS["written"], lambda f: f.values),
+    "psd_bad_row": (read_psd_csv, PSD_CORPUS["nan"], lambda f: f.values),
+    "t_value": (read_timeseries_csv, SERIES_CORPUS["two_column"], lambda ts: ts.samples),
+    "value": (read_timeseries_csv, SERIES_CORPUS["one_column"], lambda ts: ts.samples),
+    "t_value_bad_row": (read_timeseries_csv, SERIES_CORPUS["trailing_comma"], lambda ts: ts.samples),
+}
+
+
+def _refuse_network(*args, **kwargs):
+    raise AssertionError("a file name was opened as a URL")
 
 
 def _outcome(read, path):
@@ -338,6 +392,30 @@ class TestFastParse:
         _, rows = self.both(monkeypatch, read_timeseries_csv, path)
         assert isinstance(rows, CsvParseError)
 
+    @pytest.mark.parametrize("kind", sorted(_NAMED_FILES))
+    @pytest.mark.parametrize("name", _PLAIN_TEXT_NAMES)
+    def test_file_name_does_not_change_the_parse(self, tmp_path, monkeypatch, name, kind):
+        # numpy's datasource decompresses by suffix and fetches URLs; these
+        # files are plain text whatever their names say
+        read, text, vector = _NAMED_FILES[kind]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", _refuse_network)
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode())
+        for named in (name, os.fsencode(name), path):
+            fast, rows = self.both(monkeypatch, read, named)
+            if not isinstance(rows, Exception):
+                np.testing.assert_array_equal(
+                    vector(fast).view(np.uint64), vector(rows).view(np.uint64)
+                )
+
+    def test_guarded_suffixes_cover_numpy_decompressors(self):
+        from numpy.lib import _datasource
+
+        suffixes = {s for s in _datasource._file_openers.keys() if s is not None}
+        assert suffixes <= set(specdist_io._DECOMPRESSED_SUFFIXES)
+
     def test_header_only_file_warns_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("theta,psd\n")
@@ -438,12 +516,6 @@ class TestDistanceMatrix:
             build_distance_matrix([psd_constant(grid64, 1.0)], ["a", "b"])
 
 
-def _old_psd_text(psd):
-    """The per-row formula write_psd_csv used before the theta text was cached."""
-    rows = zip(psd.grid.nodes.tolist(), psd.values.tolist())
-    return "theta,psd\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in rows)
-
-
 def _old_matrix_text(matrix):
     """write_distance_matrix_csv as one csv.writer row per matrix row."""
     out = io.StringIO()
@@ -461,13 +533,14 @@ class TestWrittenBytes:
         rng = np.random.default_rng(9)
         for i, n in enumerate([2, 4096, 3, 2, 1024, 7, 4096, 16385, 3, 1024, 2, 7]):
             values = rng.exponential(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-            values[rng.integers(n)] = 0.0
+            values[rng.integers(n, size=len(EXTREME_DENSITIES))] = EXTREME_DENSITIES
             f = psd_from_samples(make_grid(n), values)
             path = tmp_path / f"{i}.csv"
             write_psd_csv(f, path)
             stream = io.StringIO()
             write_psd_csv(f, stream)
-            assert path.read_bytes() == stream.getvalue().encode() == _old_psd_text(f).encode()
+            expected = per_row_psd_csv(f.grid.nodes, f.values).encode()
+            assert path.read_bytes() == stream.getvalue().encode() == expected
             back = read_psd_csv(path).values
             np.testing.assert_array_equal(back.view(np.uint64), f.values.view(np.uint64))
 
@@ -482,6 +555,25 @@ class TestWrittenBytes:
             spectra[2] = psd_constant(grid64, 0.1)
         m = build_distance_matrix(spectra, labels)
         out = tmp_path / "m.csv"
+        write_distance_matrix_csv(m, out)
+        assert out.read_bytes() == _old_matrix_text(m).encode()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        entries=arrays(
+            np.float64,
+            (4, 4),
+            elements=st.one_of(
+                st.floats(min_value=0.0, max_value=np.finfo(float).max, allow_subnormal=True),
+                st.sampled_from([0.0, 5e-324, 0.1, 1e-5, 1e16, 1e17, math.inf]),
+            ),
+        ),
+        labels=st.lists(st.text(max_size=4), min_size=4, max_size=4),
+    )
+    def test_matrix_rows_are_format_scalar_joined(self, tmp_path_factory, entries, labels):
+        # generated labels include commas, quotes and line breaks
+        m = DistanceMatrix(labels=tuple(labels), entries=entries)
+        out = tmp_path_factory.mktemp("matrix") / "m.csv"
         write_distance_matrix_csv(m, out)
         assert out.read_bytes() == _old_matrix_text(m).encode()
 

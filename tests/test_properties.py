@@ -1,5 +1,6 @@
 """Invariants checked over generated inputs rather than hand-picked ones."""
 
+import io
 import struct
 
 import numpy as np
@@ -24,7 +25,8 @@ from specdist import (
 from specdist import io as specdist_io
 from specdist.grid import _centered_mean_square, central_variance
 
-from oracles import two_temporary_central_variance
+from conftest import EXTREME_DENSITIES
+from oracles import per_row_psd_csv, two_temporary_central_variance
 
 GRID = make_grid(64)
 
@@ -83,6 +85,30 @@ def test_psd_csv_round_trip_is_bitwise(tmp_path_factory, data, n):
     assert fast is not None and fast.shape == rows.shape == (n, 2)
     np.testing.assert_array_equal(fast.view(np.uint64), rows.view(np.uint64))
     assert lines == list(range(2, n + 2))
+
+
+# 16385 is past the grids whose theta text is cached
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.sampled_from([2, 3, 4096, 16385]),
+    drawn=arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=64),
+        elements=st.one_of(density_values, st.sampled_from(EXTREME_DENSITIES)),
+    ),
+)
+def test_psd_csv_bytes_are_the_per_row_text(tmp_path_factory, n, drawn):
+    # the drawn values repeated to fill the grid
+    values = np.resize(drawn, n)
+    assume(values.any())
+    f = psd_from_samples(make_grid(n), values)
+    expected = per_row_psd_csv(make_grid(n).nodes, values)
+    path = tmp_path_factory.mktemp("bytes") / "f.csv"
+    write_psd_csv(f, path)
+    stream = io.StringIO()
+    write_psd_csv(f, stream)
+    assert path.read_bytes() == expected.encode()
+    assert stream.getvalue() == expected
 
 
 def _bits(x: float) -> bytes:
