@@ -297,7 +297,7 @@ def read_timeseries_csv(path) -> TimeSeries:
     if table is None:
         table, _ = _read_rows(path, _SERIES_LAYOUTS)
     try:
-        return TimeSeries(samples=table[:, 0], label=Path(path).stem)
+        return TimeSeries(samples=table[:, 0], label=Path(os.fsdecode(path)).stem)
     except ValueError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
 

@@ -73,9 +73,16 @@ class PredictorCoeffs(_Value):
         object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", self.order))
 
 
+def _mirrored_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples at theta_j and at -theta_j = theta_{n-j}, for the nodes
+    j = 1..ceil(n/2)-1 that have a distinct mirror.  theta = -pi, and theta =
+    0 when n is even, are their own mirrors."""
+    n = v.size
+    return v[1 : (n + 1) // 2], v[: n // 2 : -1]
+
+
 def _check_even_symmetry(f: Psd) -> None:
-    v = f.values
-    mirrored = v[(-np.arange(f.grid.n)) % f.grid.n]
+    v, mirrored = _mirrored_pairs(f.values)
     tol = _SYMMETRY_RTOL * np.maximum(np.abs(v), np.abs(mirrored))
     if np.any(np.abs(v - mirrored) > tol):
         raise ValueError(
@@ -89,6 +96,12 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
 
     ``f`` must be even-symmetric (a real process) and ``max_lag`` must stay
     below n/2 so the cosine quadrature is alias-free.
+
+    Since cos(-k*theta) = cos(k*theta), the sample at each node theta_j is
+    first added to its mirror at -theta_j, and the quadrature runs over the
+    n//2 + 1 nodes of [-pi, 0] only: one (max_lag + 1) x (n//2 + 1) cosine
+    table, half the cosines of the full grid.  The regrouped sum is the same
+    in exact arithmetic.
     """
     max_lag = int(max_lag)
     if max_lag < 0:
@@ -99,8 +112,13 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
             "(needs max_lag < n/2)"
         )
     _check_even_symmetry(f)
-    ks = np.arange(max_lag + 1)
-    lags = np.cos(np.outer(ks, f.grid.nodes)) @ f.values / f.grid.n
+    n = f.grid.n
+    _, mirrored = _mirrored_pairs(f.values)
+    folded = f.values[: n // 2 + 1].copy()
+    folded[1 : mirrored.size + 1] += mirrored
+    table = np.outer(np.arange(max_lag + 1), f.grid.nodes[: n // 2 + 1])
+    np.cos(table, out=table)
+    lags = table @ folded / n
     return Autocovariance(lags=lags, grid=f.grid)
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: series
 summations for the special-function values, midpoint-rule quadrature on a
 staggered grid for integrals, direct DTFT and dense Toeplitz solves for
-the transform and prediction checks, per-row formatting for written bytes.
+the transform and prediction checks, per-row formatting for written bytes,
+and the cepstrum for distances.
 """
 
 import math
@@ -141,6 +142,32 @@ def per_row_psd_csv(nodes: np.ndarray, values: np.ndarray) -> str:
     theta and value with 17 significant digits.  A byte reference."""
     rows = zip(np.asarray(nodes).tolist(), np.asarray(values).tolist())
     return "theta,psd\n" + "".join(f"{theta:.17g},{value:.17g}\n" for theta, value in rows)
+
+
+def dense_cosine_autocov(values: np.ndarray, nodes: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """c_k = mean(f(theta) * cos(k*theta)) for the lags ``ks`` over every
+    node, one dense cosine table as the library first computed it."""
+    return np.cos(np.outer(ks, nodes)) @ values / values.size
+
+
+def cepstral_coordinates(values: np.ndarray) -> np.ndarray:
+    """The density's point x(f) in R^{n-1} whose Euclidean distances are the
+    geodesic distances.
+
+    The DFT of log f (0 at zeros, as ``log_ratio`` masks shared zeros) over n
+    is the cepstrum; by the discrete Parseval identity without the DC term,
+    mean((l - mean l)^2) = sum_{k=1}^{n-1} |L_k|^2 / n^2 for L = DFT(l).  The
+    coordinates are the real and imaginary parts of the rfft bins 1..n/2,
+    sqrt(2)-weighted where bin k stands for itself and its conjugate n - k.
+    """
+    n = values.size
+    logs = np.zeros(n)
+    positive = values != 0.0
+    logs[positive] = np.log(values[positive])
+    bins = np.fft.rfft(logs)[1:] / n
+    paired = bins[: (n - 1) // 2] * np.sqrt(2.0)
+    nyquist = bins[(n - 1) // 2 :].real
+    return np.concatenate((paired.real, paired.imag, nyquist))
 
 
 def naive_toeplitz_predictor(c: np.ndarray, p: int):

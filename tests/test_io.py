@@ -148,6 +148,16 @@ class TestTimeSeriesRead:
         path.write_text("t,value\n2024-01-01,1\n2024-01-02,2\n")
         np.testing.assert_array_equal(read_timeseries_csv(path).samples, [1.0, 2.0])
 
+    # the first body takes the vectorized parse, the quoted one the row parser
+    @pytest.mark.parametrize("body", ["t,value\n0,1.5\n1,-2\n", 'value\n"1.5"\n-2\n'])
+    def test_str_bytes_and_path_names_read_alike(self, tmp_path, body):
+        path = tmp_path / "series.csv"
+        path.write_text(body)
+        for name in (str(path), os.fsencode(path), path):
+            ts = read_timeseries_csv(name)
+            assert ts.label == "series"
+            assert ts.samples.tolist() == [1.5, -2.0]
+
 
 _THETAS = [f"{t:.17g}" for t in -np.pi + np.pi / 2 * np.arange(4)]
 

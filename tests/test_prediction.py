@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specdist import (
     Autocovariance,
@@ -18,7 +23,12 @@ from specdist import (
 )
 
 from conftest import stable_ar_coeffs
-from oracles import BESSEL_I1_1, naive_toeplitz_predictor, reference_mean
+from oracles import (
+    BESSEL_I1_1,
+    dense_cosine_autocov,
+    naive_toeplitz_predictor,
+    reference_mean,
+)
 
 
 def random_even_spectrum(rng, grid, degree=6):
@@ -69,6 +79,75 @@ class TestAutocovariance:
             Autocovariance(lags=np.array([-1.0, 0.0]), grid=g)
         with pytest.raises(ValueError, match="c_0"):
             Autocovariance(lags=np.array([1.0, 2.0]), grid=g)
+
+
+# Odd and even n, the smallest grids, and the benchmark's n with its odd neighbour.
+FOLD_SIZES = [2, 3, 7, 8, 64, 4095, 4096]
+
+
+@st.composite
+def even_spectra(draw):
+    """Nonnegative densities with f(theta_j) = f(-theta_j) exactly: samples on
+    the nodes of [-pi, 0], mirrored onto (0, pi)."""
+    n = draw(st.sampled_from(FOLD_SIZES))
+    head = draw(arrays(np.float64, n // 2 + 1, elements=st.floats(0.0, 1e6)))
+    assume(head.any())
+    return psd_from_samples(make_grid(n), np.concatenate((head, head[1 : (n + 1) // 2][::-1])))
+
+
+def _dense_lags(f, max_lag, block=256):
+    # the dense table a block of lags at a time, to keep n = 4096 small
+    return np.concatenate(
+        [
+            dense_cosine_autocov(f.values, f.grid.nodes, np.arange(k, min(k + block, max_lag + 1)))
+            for k in range(0, max_lag + 1, block)
+        ]
+    )
+
+
+class TestFoldedQuadrature:
+    """autocov_from_psd sums over [-pi, 0] with each sample added to its
+    mirror; the dense table over every node is the reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(f=even_spectra())
+    def test_fold_matches_the_dense_table(self, f):
+        n = f.grid.n
+        max_lag = (n - 1) // 2
+        folded = autocov_from_psd(f, max_lag).lags
+        dense = _dense_lags(f, max_lag)
+        c0 = dense[0]
+        # The dense table takes cos(k theta) at the node theta_{n-j}, which
+        # misses -theta_j by up to an ulp of pi, where the fold uses theta_j
+        # for both; on a density concentrated at one pair of nodes that alone
+        # moves c_k by up to c_0 * k * |theta_j + theta_{n-j}| / 2.
+        nodes = f.grid.nodes
+        asymmetry = np.abs(nodes[1 : (n + 1) // 2] + nodes[: n // 2 : -1]).max(initial=0.0)
+        ks = np.arange(max_lag + 1)
+        bound = c0 * (1e-13 + ks * asymmetry / 2)
+        assert np.all(np.abs(folded - dense) <= bound)
+
+    @pytest.mark.parametrize("n", FOLD_SIZES)
+    def test_smooth_densities_agree_to_1e_13_of_c0(self, n):
+        rng = np.random.default_rng(n)
+        grid = make_grid(n)
+        max_lag = (n - 1) // 2
+        smooth = [psd_from_ar([0.5], 1.0, grid), psd_from_samples(grid, np.exp(np.cos(grid.nodes)))]
+        for f in smooth + [random_even_spectrum(rng, grid) for _ in range(3)]:
+            dense = _dense_lags(f, max_lag)
+            folded = autocov_from_psd(f, max_lag).lags
+            assert np.all(np.abs(folded - dense) <= 1e-13 * dense[0])
+
+    def test_peak_memory_is_one_half_size_table(self, ar_half):
+        # the dense route held two (p+1) x n tables, over three times this bound
+        n, p = ar_half.grid.n, 512
+        tracemalloc.start()
+        try:
+            autocov_from_psd(ar_half, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (p + 1) * (n // 2 + 1) * 8
 
 
 class TestLevinson:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specdist import (
+    build_distance_matrix,
     divergence_ag,
     divergence_rs,
     divergence_sym,
@@ -25,8 +26,8 @@ from specdist import (
 from specdist import io as specdist_io
 from specdist.grid import _centered_mean_square, central_variance
 
-from conftest import EXTREME_DENSITIES
-from oracles import per_row_psd_csv, two_temporary_central_variance
+from conftest import EXTREME_DENSITIES, random_positive_spectrum
+from oracles import cepstral_coordinates, per_row_psd_csv, two_temporary_central_variance
 
 GRID = make_grid(64)
 
@@ -145,25 +146,72 @@ def test_triangle_inequality_with_infinite_legs(f, g, h):
 
 
 @st.composite
-def pairs_sharing_zero_bands(draw):
+def spectra_sharing_zero_bands(draw, count=st.just(2)):
     bands = draw(st.sets(st.sampled_from(range(len(ZERO_BANDS)))))
-    pair = []
-    for _ in range(2):
+    spectra = []
+    for _ in range(draw(count)):
         values = draw(positive_samples)
         for band in bands:
             values[list(ZERO_BANDS[band])] = 0.0
-        pair.append(psd_from_samples(GRID, values))
-    return pair
+        spectra.append(psd_from_samples(GRID, values))
+    return spectra
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(pair=pairs_sharing_zero_bands(), tau=st.floats(min_value=0.0, max_value=1.0))
+@given(pair=spectra_sharing_zero_bands(), tau=st.floats(min_value=0.0, max_value=1.0))
 def test_geodesic_path_is_intrinsic(pair, tau):
     f0, f1 = pair
     d = geodesic_distance(f0, f1)
     for m in (2, 3, 11, 101):
         assert abs(path_length(geodesic_path(f0, f1, m)) - d) <= 1e-10
     assert abs(geodesic_distance(f0, geodesic_point(f0, f1, tau)) - tau * d) <= 1e-10
+
+
+def _log_rms(f):
+    """sqrt(mean(log^2 f)) with 0 at zeros: the norm of all of f's cepstral
+    coefficients, c_0 included."""
+    logs = np.log(f.values[f.values != 0.0])
+    return np.sqrt(logs @ logs / f.grid.n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pair=spectra_sharing_zero_bands())
+def test_geodesic_distance_is_the_cepstral_distance(pair):
+    # Parseval: the metric is Euclidean in cepstral coordinates.  The two
+    # routes round each log separately, so near-proportional pairs agree
+    # only in absolute terms: to the size of the logs, whose mean (the
+    # dropped c_0) counts too, as a constant ratio shows.
+    f, g = pair
+    d = geodesic_distance(f, g)
+    cepstral = np.linalg.norm(cepstral_coordinates(f.values) - cepstral_coordinates(g.values))
+    assert abs(d - cepstral) <= 1e-12 * (d + _log_rms(f) + _log_rms(g))
+
+
+def _most_negative_gram_eigenvalue_share(entries):
+    """Smallest eigenvalue of -J D^2 J / 2 over its largest, J the centring
+    projector: never below rounding for a Euclidean distance matrix
+    (Schoenberg 1935; Young & Householder 1938)."""
+    k = len(entries)
+    centring = np.eye(k) - 1.0 / k
+    eigenvalues = np.linalg.eigvalsh(-0.5 * centring @ (entries * entries) @ centring)
+    return eigenvalues[0] / max(eigenvalues[-1], np.finfo(float).tiny)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spectra=spectra_sharing_zero_bands(st.integers(min_value=2, max_value=12)))
+def test_distance_matrix_is_euclidean(spectra):
+    # stronger than every triangle inequality among the spectra
+    labels = [str(i) for i in range(len(spectra))]
+    entries = build_distance_matrix(spectra, labels).entries
+    assert _most_negative_gram_eigenvalue_share(entries) >= -1e-12
+
+
+def test_benchmark_sized_distance_matrix_is_euclidean():
+    rng = np.random.default_rng(200)
+    grid = make_grid(4096)
+    spectra = [random_positive_spectrum(rng, grid) for _ in range(200)]
+    entries = build_distance_matrix(spectra, [str(i) for i in range(200)]).entries
+    assert _most_negative_gram_eigenvalue_share(entries) >= -1e-12
 
 
 blocks = st.integers(min_value=2, max_value=300).flatmap(
