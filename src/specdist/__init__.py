@@ -63,7 +63,6 @@ from .prediction import (
 )
 from .spectra import (
     Psd,
-    SpectralRay,
     arithmetic_mean,
     generalized_mean,
     geometric_mean,
@@ -91,7 +90,6 @@ __all__ = [
     "PredictorCoeffs",
     "Psd",
     "SpectralError",
-    "SpectralRay",
     "SpectrumClass",
     "TimeSeries",
     "UnstableModelError",

@@ -118,7 +118,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_matrix(args) -> int:
     spectra = [read_psd_csv(p) for p in args.files]
     labels = [Path(p).stem for p in args.files]
-    matrix = build_distance_matrix(spectra, labels, jobs=args.jobs)
+    matrix = build_distance_matrix(spectra, labels)
     write_distance_matrix_csv(matrix, args.out)
     return 0
 
@@ -194,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="pairwise geodesic distance matrix over PSD files")
     p.add_argument("files", nargs="+")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="ignored, kept for compatibility: evaluation is single-threaded and vectorized",
-    )
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("estimate", help="estimate a PSD from a time-series CSV")

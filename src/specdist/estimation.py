@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .grid import FrequencyGrid, _transform_power, _Value, _vector
+from .grid import FrequencyGrid, _count, _transform_power, _Value, _vector
 from .spectra import Psd, psd_from_samples
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
@@ -93,9 +93,7 @@ def welch(
     window : str
         ``"rectangular"`` or ``"hann"``.
     """
-    segment = int(segment)
-    if segment < _MIN_SEGMENT:
-        raise ValueError(f"segment length must be >= {_MIN_SEGMENT}, got {segment}")
+    segment = _count(segment, f"segment length must be >= {_MIN_SEGMENT}, got {{}}", _MIN_SEGMENT)
     if segment > len(ts):
         raise ValueError(
             f"segment length {segment} exceeds the series length {len(ts)}"

@@ -15,6 +15,7 @@ import numpy as np
 
 from .divergences import geodesic_distance
 from .errors import NoFiniteGeodesicError
+from .grid import _count
 from .spectra import Psd, _require_same_grid, psd_from_samples
 
 __all__ = ["GeodesicPath", "geodesic_point", "geodesic_path", "path_length"]
@@ -63,10 +64,8 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
 
 
 def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
-    """Path sampled at the m uniform parameters tau_k = k/(m-1), m >= 2."""
-    m = int(m)
-    if m < 2:
-        raise ValueError(f"a path needs at least its 2 endpoints, got m = {m}")
+    """Path sampled at the m uniform parameters tau_k = k/(m-1), for an integer m >= 2."""
+    m = _count(m, "a path needs at least its 2 endpoints, got m = {}", 2)
     taus = np.arange(m) / (m - 1)
     taus.setflags(write=False)
     points = tuple(geodesic_point(f0, f1, t) for t in taus)

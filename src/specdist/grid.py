@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +44,7 @@ class FrequencyGrid(_Value):
     nodes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "grid needs at least 2 nodes, got {}", 2))
         nodes = -np.pi + (2.0 * np.pi / self.n) * np.arange(self.n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -66,6 +64,20 @@ def make_grid(n: int) -> FrequencyGrid:
     shared, so one instance (and one ``nodes`` array) serves each node count.
     Typed, so ``8.0`` never finds the grid cached for ``np.int64(8)``."""
     return FrequencyGrid(n)
+
+
+def _count(x, message: str, minimum: int) -> int:
+    """``x`` as an ``int``: a count, which must be an integer (``int``,
+    ``np.int64``, ...) of at least ``minimum``.  Otherwise raises
+    ``ValueError`` with ``message``, whose ``{}`` takes the value.  Floats
+    are refused even when integral, so no count is ever truncated."""
+    try:
+        k = operator.index(x)
+    except TypeError:
+        raise ValueError(message.format(x) + ", which is not an integer") from None
+    if k < minimum:
+        raise ValueError(message.format(k))
+    return k
 
 
 def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.ndarray:

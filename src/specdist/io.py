@@ -314,18 +314,16 @@ class DistanceMatrix:
     entries: np.ndarray
 
 
-def build_distance_matrix(
-    spectra: Sequence[Psd], labels: Sequence[str], jobs: int = 1
-) -> DistanceMatrix:
+def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> DistanceMatrix:
     """Geodesic distances between all pairs, each unordered pair computed once.
 
-    Evaluation is single-threaded and vectorized; ``jobs`` is accepted for
-    compatibility and ignored.  Strictly positive spectra take their logs
-    once, and each row is differenced against the later rows a block at a
-    time; the block goes through the centered-variance kernel that
-    :func:`geodesic_distance` uses, so every entry is bit-identical to it.  Pairs
-    involving a spectrum with zeros go through :func:`geodesic_distance`
-    itself, which owns the zero-set bookkeeping and the ``inf`` completion.
+    Evaluation is single-threaded and vectorized.  Strictly positive spectra
+    take their logs once, and each row is differenced against the later rows
+    a block at a time; the block goes through the centered-variance kernel
+    that :func:`geodesic_distance` uses, so every entry is bit-identical to
+    it.  Pairs involving a spectrum with zeros go through
+    :func:`geodesic_distance` itself, which owns the zero-set bookkeeping and
+    the ``inf`` completion.
     """
     if len(spectra) != len(labels):
         raise ValueError(

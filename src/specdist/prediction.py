@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid, _transform_power, _Value, _vector
+from .grid import FrequencyGrid, _count, _transform_power, _Value, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -61,16 +61,23 @@ class Autocovariance(_Value):
 
 @dataclass(frozen=True, eq=False)
 class PredictorCoeffs(_Value):
-    """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of order ``order``
-    with the prediction error variance it attains; ``coeffs`` (finite, exactly
-    ``order`` long) is stored as a read-only copy."""
+    """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of integer order
+    ``order`` >= 0 with the prediction error variance it attains, which must be
+    finite and positive; ``coeffs`` (finite, exactly ``order`` long) is stored
+    as a read-only copy."""
 
     order: int
     coeffs: np.ndarray
     attained_variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", self.order))
+        order = _count(self.order, "predictor order must be >= 0, got {}", 0)
+        variance = float(self.attained_variance)
+        if not 0.0 < variance < np.inf:
+            raise ValueError(f"attained variance must be finite and > 0, got {variance}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", order))
+        object.__setattr__(self, "attained_variance", variance)
 
 
 def _mirrored_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,9 +110,7 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
     table, half the cosines of the full grid.  The regrouped sum is the same
     in exact arithmetic.
     """
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    max_lag = _count(max_lag, "max_lag must be >= 0, got {}", 0)
     if max_lag >= f.grid.n / 2:
         raise ValueError(
             f"max_lag = {max_lag} too large for an n = {f.grid.n} grid "
@@ -135,9 +140,7 @@ def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
         If any recursion error variance drops to 0 or below, i.e. the
         sequence is not positive definite through order ``p``.
     """
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"predictor order must be >= 1, got {p}")
+    p = _count(p, "predictor order must be >= 1, got {}", 1)
     if p > acv.max_lag:
         raise ValueError(
             f"order {p} needs lags up to c_{p}, but only c_0..c_{acv.max_lag} are available"
@@ -185,10 +188,9 @@ def rho_empirical(f1: Psd, f2: Psd, p: int) -> float:
     never drop below 1 beyond rounding, since no mismatched predictor beats
     the optimal one.
     """
-    if int(p) < 1:
-        raise ValueError(f"predictor order must be >= 1, got {p}")
+    p = _count(p, "predictor order must be >= 1, got {}", 1)
     if f1.zero_set or f2.zero_set:
         raise ValueError("prediction comparison needs strictly positive densities")
     _check_even_symmetry(f1)
-    pred = levinson(autocov_from_psd(f2, int(p)), int(p))
+    pred = levinson(autocov_from_psd(f2, p), p)
     return degraded_variance(f1, pred) / geometric_mean(f1)

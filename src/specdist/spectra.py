@@ -20,7 +20,6 @@ from .grid import FrequencyGrid, _transform_power, _Value, _vector
 
 __all__ = [
     "Psd",
-    "SpectralRay",
     "psd_from_samples",
     "psd_constant",
     "psd_from_ar",
@@ -62,15 +61,6 @@ class Psd(_Value):
     @property
     def strictly_positive(self) -> bool:
         return not self.zero_set
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralRay:
-    """A scale-equivalence class of densities, stored via the representative
-    whose geometric mean is one.  Only strictly positive densities have such
-    a representative."""
-
-    representative: Psd
 
 
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
@@ -204,14 +194,15 @@ def geometric_mean(f: Psd) -> float:
     return float(np.exp(np.mean(np.log(f.values))))
 
 
-def normalize_to_ray(f: Psd) -> SpectralRay:
-    """Scale ``f`` to the unit-geometric-mean representative of its ray."""
+def normalize_to_ray(f: Psd) -> Psd:
+    """The representative of the ray of ``f`` (its scale-equivalence class,
+    {c*f : c > 0}) whose geometric mean is one: ``f`` divided by its
+    geometric mean.  Only strictly positive densities have one."""
     if f.zero_set:
         raise NotNormalizableError(
             "density vanishes on the grid; its ray has no log-normalizable representative"
         )
-    rep = psd_from_samples(f.grid, f.values / geometric_mean(f))
-    return SpectralRay(representative=rep)
+    return psd_from_samples(f.grid, f.values / geometric_mean(f))
 
 
 def arithmetic_mean(f: Psd) -> float:

@@ -223,15 +223,20 @@ class TestMatrix:
         assert rows[1][2] == dist_out.strip()
         assert rows[2][1] == dist_out.strip()
 
-    def test_runs_are_byte_identical_across_thread_counts(self, capsys, tmp_path, fixtures):
+    def test_runs_are_byte_identical(self, capsys, tmp_path, fixtures):
         args = ["matrix", *fixtures.values()]
         blobs = set()
-        for i, jobs in enumerate([1, 1, 4, 8]):
+        for i in range(4):
             out = tmp_path / f"m{i}.csv"
-            code, _, _ = run(capsys, *args, "--out", out, "--jobs", jobs)
+            code, _, _ = run(capsys, *args, "--out", out)
             assert code == 0
             blobs.add(out.read_bytes())
         assert len(blobs) == 1
+
+    def test_jobs_is_not_an_option(self, tmp_path, fixtures):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", str(fixtures["const1"]), "--out", str(tmp_path / "m.csv"), "--jobs", "4"])
+        assert exc.value.code == 2
 
 
 class TestEstimateAndClassify:

@@ -68,7 +68,7 @@ def test_grid_nodes_are_not_an_argument():
         FrequencyGrid(n=8, nodes=np.linspace(0.0, 1.0, 8))
 
 
-@pytest.mark.parametrize("n", [1, 0, -3, 8.0, 8.5])
+@pytest.mark.parametrize("n", [1, 0, -3, 8.0, 8.5, pytest.param(np.float64(8), id="float64")])
 def test_grid_constructor_refuses_what_make_grid_refuses(n):
     for build in (FrequencyGrid, make_grid):
         with pytest.raises(ValueError, match="at least 2 nodes"):

@@ -511,16 +511,6 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(m.entries, m.entries.T)
         np.testing.assert_array_equal(np.diag(m.entries), 0.0)
 
-    def test_threaded_assembly_is_identical(self, grid1024):
-        rng = np.random.default_rng(70)
-        from conftest import random_positive_spectrum
-
-        spectra = [random_positive_spectrum(rng, grid1024) for _ in range(6)]
-        labels = [f"s{i}" for i in range(6)]
-        serial = build_distance_matrix(spectra, labels, jobs=1)
-        threaded = build_distance_matrix(spectra, labels, jobs=8)
-        np.testing.assert_array_equal(serial.entries, threaded.entries)
-
     def test_label_count_must_match(self, grid64):
         with pytest.raises(ValueError, match="labels"):
             build_distance_matrix([psd_constant(grid64, 1.0)], ["a", "b"])

@@ -238,28 +238,28 @@ class TestMeans:
 
 class TestRays:
     def test_constant_normalizes_to_one(self, grid64):
-        ray = normalize_to_ray(psd_constant(grid64, 7.0))
-        np.testing.assert_allclose(ray.representative.values, 1.0, rtol=1e-14)
+        rep = normalize_to_ray(psd_constant(grid64, 7.0))
+        np.testing.assert_allclose(rep.values, 1.0, rtol=1e-14)
 
     def test_scaling_cancels(self, grid1024):
         rng = np.random.default_rng(5)
         f = random_positive_spectrum(rng, grid1024)
         scaled = psd_from_samples(grid1024, 3.7e4 * f.values)
         np.testing.assert_allclose(
-            normalize_to_ray(scaled).representative.values,
-            normalize_to_ray(f).representative.values,
+            normalize_to_ray(scaled).values,
+            normalize_to_ray(f).values,
             rtol=1e-12,
         )
 
     def test_unit_geometric_mean_is_fixed(self, expcos):
-        ray = normalize_to_ray(expcos)
-        np.testing.assert_allclose(ray.representative.values, expcos.values, rtol=1e-12)
+        rep = normalize_to_ray(expcos)
+        np.testing.assert_allclose(rep.values, expcos.values, rtol=1e-12)
 
     def test_idempotent(self, grid1024):
         rng = np.random.default_rng(6)
         f = random_positive_spectrum(rng, grid1024)
-        once = normalize_to_ray(f).representative
-        twice = normalize_to_ray(once).representative
+        once = normalize_to_ray(f)
+        twice = normalize_to_ray(once)
         np.testing.assert_allclose(twice.values, once.values, rtol=1e-12)
         assert geometric_mean(once) == pytest.approx(1.0, rel=1e-12)
 

@@ -13,12 +13,17 @@ from specdist import (
     PredictorCoeffs,
     Psd,
     TimeSeries,
+    autocov_from_psd,
     degraded_variance,
     geodesic_distance,
+    geodesic_path,
+    levinson,
     make_grid,
     psd_constant,
     psd_from_ar,
     psd_from_samples,
+    rho_empirical,
+    welch,
 )
 
 GRID = make_grid(8)
@@ -85,6 +90,45 @@ def test_a_copy_is_rebuilt_by_the_constructor(kind, route):
             assert b == a
 
 
+AR1 = psd_from_ar([0.5], 1.0, make_grid(64))
+SERIES = TimeSeries(samples=np.sin(np.arange(64.0)))
+
+# Each function that takes a count: a call with count k, a valid k, and a
+# count below its minimum with the message that refuses it.  FrequencyGrid's
+# count is checked in test_grid.
+COUNTS = {
+    "autocov_from_psd": (
+        lambda k: autocov_from_psd(AR1, k), 3, -1, "max_lag must be >= 0, got -1"),
+    "levinson": (
+        lambda k: levinson(autocov_from_psd(AR1, 4), k), 3, 0,
+        "predictor order must be >= 1, got 0"),
+    "rho_empirical": (
+        lambda k: rho_empirical(AR1, psd_constant(AR1.grid, 1.0), k), 3, 0,
+        "predictor order must be >= 1, got 0"),
+    "welch": (
+        lambda k: welch(SERIES, k, 0.5, "hann", AR1.grid), 16, 7,
+        "segment length must be >= 8, got 7"),
+    "geodesic_path": (
+        lambda k: geodesic_path(AR1, psd_constant(AR1.grid, 1.0), k), 3, 1,
+        "a path needs at least its 2 endpoints, got m = 1"),
+    "PredictorCoeffs": (
+        lambda k: PredictorCoeffs(order=k, coeffs=[0.5] * 2, attained_variance=1.0), 2, -1,
+        "predictor order must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTS))
+def test_counts_are_integers(kind):
+    call, k, below, message = COUNTS[kind]
+    for x in (k + 0.7, float(k), np.float64(k)):
+        with pytest.raises(ValueError, match="which is not an integer"):
+            call(x)
+    assert pickle.dumps(call(np.int64(k))) == pickle.dumps(call(k))
+    with pytest.raises(ValueError) as exc:
+        call(below)
+    assert str(exc.value) == message
+
+
 class TestPsd:
     def test_zero_set_is_derived_from_the_values(self):
         f = Psd(GRID, [1, 0, 1, 1, 1, 1, 0, 1])
@@ -127,6 +171,11 @@ class TestPredictorCoeffs:
     def test_rejects_a_matrix(self):
         with pytest.raises(ValueError, match="coeffs must be a vector"):
             PredictorCoeffs(order=2, coeffs=np.zeros((1, 2)), attained_variance=1.0)
+
+    @pytest.mark.parametrize("variance", [-5.0, 0.0, np.inf, np.nan])
+    def test_rejects_an_unattainable_variance(self, variance):
+        with pytest.raises(ValueError, match="attained variance must be finite and > 0"):
+            PredictorCoeffs(order=0, coeffs=[], attained_variance=variance)
 
     def test_order_zero_still_gives_total_power(self):
         f = psd_from_ar([0.5], 1.0, make_grid(64))
