@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .grid import FrequencyGrid, _count, _transform_power, _Value, _vector
+from .grid import FrequencyGrid, _count, _half_power, _mirror, _Value, _vector
 from .spectra import Psd, psd_from_samples
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
@@ -32,7 +32,7 @@ _SEGMENT_BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries(_Value):
-    """A finite real signal (a read-only copy, at least two samples) with an optional label."""
+    """A finite real signal (read-only, at least two samples) with an optional label."""
 
     samples: np.ndarray
     label: str | None = None
@@ -114,15 +114,16 @@ def _segment_average(
 ) -> Psd:
     """Mean of the windowed segment transforms, each normalized by the window
     energy; the segments start every ``hop`` samples and are transformed
-    ``_SEGMENT_BLOCK`` at a time."""
+    ``_SEGMENT_BLOCK`` at a time.  Only the first n//2 + 1 nodes are summed;
+    the rest mirror them, so the sums are mirrored once at the end."""
     w = _window(window, segment)
     energy = float(w @ w)
     frames = np.lib.stride_tricks.sliding_window_view(ts.samples, segment)[::hop]
-    accum = np.zeros(grid.n)
+    accum = np.zeros(grid.n // 2 + 1)
     for first in range(0, len(frames), _SEGMENT_BLOCK):
         block = frames[first : first + _SEGMENT_BLOCK]
-        accum += _transform_power(block * w, grid.n).sum(axis=0)
-    values = accum / (len(frames) * energy)
+        accum += _half_power(block * w, grid.n).sum(axis=0)
+    values = _mirror(accum, grid.n) / (len(frames) * energy)
     try:
         return psd_from_samples(grid, values)
     except ValueError as exc:

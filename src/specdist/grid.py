@@ -81,9 +81,13 @@ def _count(x, message: str, minimum: int) -> int:
 
 
 def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.ndarray:
-    """A read-only float64 copy of ``x``, which must be a finite 1-d vector of
-    exactly ``length`` entries when given, and of at least ``at_least``."""
-    v = np.array(x, dtype=float)
+    """``x`` as a read-only float64 vector, which must be finite and 1-d with
+    exactly ``length`` entries when given, and at least ``at_least``.
+
+    ``x`` itself is kept when it is :func:`_sealed`; anything else, every
+    writable array included, is copied.
+    """
+    v = x if _sealed(x) else np.array(x, dtype=float)
     if v.ndim != 1 or v.size < at_least or length not in (None, v.size):
         size = f"length {length}" if length is not None else f"length at least {at_least}"
         raise ValueError(f"{name} must be a vector of {size}, got shape {v.shape}")
@@ -92,6 +96,27 @@ def _vector(x, name: str, length: int | None = None, at_least: int = 0) -> np.nd
         raise ValueError(f"{name}[{bad}] = {v[bad]} is not finite")
     v.setflags(write=False)
     return v
+
+
+def _sealed(x) -> bool:
+    """Whether ``x`` is a contiguous read-only float64 ndarray that no writable
+    array can reach: it owns its memory, or it spans all of a read-only array
+    that does.  These are the arrays :func:`_vector` returns.  (A view of part
+    of an owner is copied, so a stored vector never keeps a larger one alive.)
+    """
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        return False
+    if x.flags.writeable or not x.flags.c_contiguous:
+        return False
+    if x.flags.owndata:
+        return True
+    owner = x.base
+    return (
+        type(owner) is np.ndarray
+        and owner.flags.owndata
+        and not owner.flags.writeable
+        and owner.nbytes == x.nbytes
+    )
 
 
 def mean(grid: FrequencyGrid, samples) -> float:
@@ -134,9 +159,15 @@ def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
     n-point DFT of the sign-alternated signal folded modulo n; the fold is
     exact for any signal length.  That signal is real, so its DFT is
     conjugate-symmetric and node k carries the power of node n - k: a real
-    FFT gives nodes 0..n//2 and the rest are their mirror, for even and odd
-    n alike.  Each row gives the bits it gives alone.
+    FFT gives nodes 0..n//2 (:func:`_half_power`) and the rest are their
+    mirror (:func:`_mirror`), for even and odd n alike.  Each row gives the
+    bits it gives alone.
     """
+    return _mirror(_half_power(x, n), n)
+
+
+def _half_power(x: np.ndarray, n: int) -> np.ndarray:
+    """The first n//2 + 1 nodes of :func:`_transform_power`."""
     length = x.shape[-1]
     signed = x * np.where(np.arange(length) % 2, -1.0, 1.0)
     if length > n:
@@ -145,5 +176,9 @@ def _transform_power(x: np.ndarray, n: int) -> np.ndarray:
         signed = padded.reshape(x.shape[:-1] + (-1, n)).sum(axis=-2)
     # rfft zero-pads a signal shorter than n itself
     half = np.fft.rfft(signed, n)
-    power = half.real**2 + half.imag**2
-    return np.concatenate((power, power[..., n - power.shape[-1] : 0 : -1]), axis=-1)
+    return half.real**2 + half.imag**2
+
+
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """All n nodes from the first n//2 + 1: node k carries node n - k."""
+    return np.concatenate((half, half[..., n - half.shape[-1] : 0 : -1]), axis=-1)

@@ -215,8 +215,8 @@ def _read_rows(path, layouts: dict) -> tuple[np.ndarray, list[int]]:
 
     ``layouts`` maps each accepted header to the columns read from it; the
     other columns must be present but are not parsed.  Returns those columns
-    as an ``(n, len(columns))`` array of finite floats and the 1-based line
-    number of each row.
+    as an ``(n, len(columns))`` array of finite floats that owns its memory,
+    and the 1-based line number of each row.
     """
     rows: list[list[float]] = []
     lines: list[int] = []
@@ -245,7 +245,8 @@ def _read_rows(path, layouts: dict) -> tuple[np.ndarray, list[int]]:
                 raise CsvParseError(f"{path}: line {lineno}: non-finite field")
             rows.append(values)
             lines.append(lineno)
-    return np.array(rows, dtype=float).reshape(-1, len(columns)), lines
+    table = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
+    return table, lines
 
 
 def read_psd_csv(path) -> Psd:
@@ -291,11 +292,14 @@ def read_psd_csv(path) -> Psd:
 def read_timeseries_csv(path) -> TimeSeries:
     """Read a signal from a ``t,value`` or single ``value`` column file.
 
-    The ``t`` column must be present on every row but is not parsed.
+    The ``t`` column must be present on every row but is not parsed.  The
+    parsed table owns its memory and has one column; it is sealed read-only,
+    so the series keeps that column rather than a copy.
     """
     table = _numeric_table(path, _SERIES_LAYOUTS)
     if table is None:
         table, _ = _read_rows(path, _SERIES_LAYOUTS)
+    table.setflags(write=False)
     try:
         return TimeSeries(samples=table[:, 0], label=Path(os.fsdecode(path)).stem)
     except ValueError as exc:

@@ -40,7 +40,7 @@ _COVARIANCE_SLACK = 1e-12
 class Autocovariance(_Value):
     """Covariance sequence c_0..c_M of the process with the source density.
 
-    Valid sequences have c_0 > 0 and |c_k| <= c_0; ``lags`` is a read-only copy.
+    Valid sequences have c_0 > 0 and |c_k| <= c_0; ``lags`` is read-only.
     """
 
     lags: np.ndarray
@@ -64,7 +64,7 @@ class PredictorCoeffs(_Value):
     """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of integer order
     ``order`` >= 0 with the prediction error variance it attains, which must be
     finite and positive; ``coeffs`` (finite, exactly ``order`` long) is stored
-    as a read-only copy."""
+    read-only."""
 
     order: int
     coeffs: np.ndarray

@@ -36,8 +36,8 @@ class Psd(_Value):
 
     ``zero_set`` holds the indices where the density is exactly zero; it is
     derived from the values.  The all-zero function is not a valid density.
-    Instances are immutable; ``values`` is a read-only copy of the vector
-    given.
+    Instances are immutable; ``values`` is read-only, and no writable array
+    reaches it: the vector given is copied unless it already is such.
 
     Raises ``ValueError`` (naming the first offending index) for non-finite
     entries, then for negative ones, and for the all-zero vector.
@@ -64,7 +64,7 @@ class Psd(_Value):
 
 
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
-    """Validate a read-only copy of a sample vector as a density on ``grid``.
+    """Validate a sample vector as a read-only density on ``grid``.
 
     The same as ``Psd(grid, values)``, with the same errors.
     """

@@ -204,7 +204,7 @@ def test_09_pipeline_statistical():
 
 
 def test_10_cli_determinism(tmp_path):
-    with criterion(10, "matrix command is byte-identical across runs and threads"):
+    with criterion(10, "matrix command is byte-identical across repeated runs"):
         grid = make_grid(1024)
         rng = np.random.default_rng(2028)
         spectra = {

@@ -87,13 +87,13 @@ def test_traced_segment_count_is_the_frames_welch_averages(monkeypatch):
     # reports for estimate-1m is true only while that formula agrees with
     # welch's on the benchmark's setting
     rows = []
-    transform = estimation._transform_power
+    transform = estimation._half_power
 
     def counted(x, n):
         rows.append(len(x))
         return transform(x, n)
 
-    monkeypatch.setattr(estimation, "_transform_power", counted)
+    monkeypatch.setattr(estimation, "_half_power", counted)
     ts = TimeSeries(np.random.default_rng(0).standard_normal(INPUTS.SERIES_LEN))
     tracer = TRACER.Tracer()
     tracer.install()

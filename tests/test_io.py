@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import tracemalloc
 import urllib.request
 import warnings
 
@@ -157,6 +158,34 @@ class TestTimeSeriesRead:
             ts = read_timeseries_csv(name)
             assert ts.label == "series"
             assert ts.samples.tolist() == [1.5, -2.0]
+
+    # LF takes the vectorized parse, CRLF the row parser
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_series_keeps_the_parsed_column(self, tmp_path, end):
+        path = tmp_path / "ts.csv"
+        fields = ["0.1", "-2.5e-3", "7", "1e300"]
+        path.write_bytes(end.join(["value", *fields, ""]).encode())
+        samples = read_timeseries_csv(path).samples
+        expected = np.array([float(x) for x in fields])
+        np.testing.assert_array_equal(samples.view(np.uint64), expected.view(np.uint64))
+        # a view of the sealed table, not a copy of it
+        assert samples.base is not None and not samples.base.flags.writeable
+        assert not samples.flags.writeable
+
+    def test_series_read_holds_one_copy_of_the_samples(self, tmp_path):
+        # 2^20 small integers: the parse's own transient is small next to the
+        # samples, so a second copy of them shows; at 2^18 rows it would not
+        path = tmp_path / "ts.csv"
+        values = np.random.default_rng(67).integers(0, 100, 1 << 20)
+        path.write_text("value\n" + "\n".join(map(str, values.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            samples = read_timeseries_csv(path).samples
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.tolist() == values.tolist()
+        assert peak - samples.nbytes < samples.nbytes / 2
 
 
 _THETAS = [f"{t:.17g}" for t in -np.pi + np.pi / 2 * np.arange(4)]

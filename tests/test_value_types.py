@@ -1,4 +1,5 @@
-"""Value objects own their vectors: each stores a checked, read-only copy."""
+"""Value objects own their vectors: each stores a checked, read-only vector
+that no writable array can reach."""
 
 import copy
 import dataclasses
@@ -51,6 +52,35 @@ def test_stores_a_read_only_copy_of_the_callers_vector(kind):
     assert not stored(value).flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         stored(value)[0] = 2.0
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERS))
+def test_keeps_a_read_only_float64_array_that_owns_its_memory(kind):
+    build, stored = OWNERS[kind]
+    x = 0.5 ** np.arange(GRID.n)
+    x.setflags(write=False)
+    assert np.shares_memory(stored(build(x)), x)
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERS))
+def test_copies_a_read_only_view_of_a_writable_array(kind):
+    build, stored = OWNERS[kind]
+    base = 0.5 ** np.arange(GRID.n)
+    x = base[:]
+    x.setflags(write=False)
+    value = build(x)
+    base[0] = 9.0  # writing the base reaches x ...
+    assert stored(value)[0] == 1.0  # ... but not the value
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERS))
+def test_converts_a_read_only_int_array(kind):
+    build, stored = OWNERS[kind]
+    x = np.arange(GRID.n, 0, -1)
+    x.setflags(write=False)
+    v = stored(build(x))
+    assert v.dtype == np.float64 and v.tolist() == list(range(GRID.n, 0, -1))
+    assert not v.flags.writeable
 
 
 @pytest.mark.parametrize("kind", sorted(OWNERS))
