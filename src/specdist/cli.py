@@ -151,14 +151,11 @@ def _cmd_rho(args) -> int:
     return 0
 
 
-def _add_grid_flag(parser) -> None:
-    parser.add_argument(
-        "--grid",
-        type=int,
-        default=DEFAULT_GRID,
-        metavar="N",
-        help="node count for inline analytic spectra (files keep their own grid)",
-    )
+_INLINE_GRID_HELP = "node count for inline analytic spectra (files keep their own grid)"
+
+
+def _add_grid_flag(parser, help: str = _INLINE_GRID_HELP) -> None:
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, metavar="N", help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--window", choices=estimation.WINDOWS, default="hann")
     p.add_argument("--out", required=True, help="output PSD CSV path")
-    _add_grid_flag(p)
+    _add_grid_flag(p, "node count of the estimated PSD's grid")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("classify", help="report StrictlyPositive or HasZeros")

@@ -87,11 +87,19 @@ def scaled_metric_d(f1: Psd, f2: Psd) -> float:
 
 def _ratio_gap(f1: Psd, f2: Psd, r: float, s: float) -> float:
     """Log power mean of order r minus that of order s of the ratio f1/f2,
-    from its :func:`log_ratio` samples; ``inf`` when it has none."""
+    from its :func:`log_ratio` samples; ``inf`` when it has none.
+
+    The gap is blind to a shift of the samples, so they are centered first:
+    for a nearly constant ratio it is then a difference of two small terms,
+    not of two large ones.  By the power-mean inequality it has the sign of
+    r - s, which rounding of a gap near zero must not flip.
+    """
     x = log_ratio(f1, f2)
     if x is None:
         return math.inf
-    return _log_power_mean(x, r) - _log_power_mean(x, s)
+    x = x - np.mean(x)
+    gap = _log_power_mean(x, r) - _log_power_mean(x, s)
+    return max(gap, 0.0) if r > s else min(gap, 0.0)
 
 
 def divergence_ag(f1: Psd, f2: Psd) -> float:

@@ -59,7 +59,16 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
         return f0
     if tau == 1.0:
         return f1
-    values = f0.values ** (1.0 - tau) * f1.values**tau
+    with np.errstate(over="ignore"):
+        values = f0.values ** (1.0 - tau) * f1.values**tau
+        # Near the top of the double range the product of two powers can
+        # overflow where the interpolant does not; there, take the log form,
+        # clamped to the endpoints, which bound a weighted geometric mean.
+        off = np.isinf(values)
+        if off.any():
+            a, b = f0.values[off], f1.values[off]
+            log_form = np.exp((1.0 - tau) * np.log(a) + tau * np.log(b))
+            values[off] = np.clip(log_form, np.minimum(a, b), np.maximum(a, b))
     return psd_from_samples(f0.grid, values)
 
 

@@ -179,6 +179,14 @@ def _half_power(x: np.ndarray, n: int) -> np.ndarray:
     return half.real**2 + half.imag**2
 
 
+def _mirrored_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples at theta_j and at -theta_j = theta_{n-j}, for the nodes
+    j = 1..ceil(n/2)-1 that have a distinct mirror.  theta = -pi, and theta =
+    0 when n is even, are their own mirrors."""
+    n = v.size
+    return v[1 : (n + 1) // 2], v[: n // 2 : -1]
+
+
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     """All n nodes from the first n//2 + 1: node k carries node n - k."""
     return np.concatenate((half, half[..., n - half.shape[-1] : 0 : -1]), axis=-1)

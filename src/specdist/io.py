@@ -45,7 +45,7 @@ from .divergences import geodesic_distance
 from .errors import CsvParseError, InvalidGridError, NegativeDensityError
 from .estimation import TimeSeries
 from .grid import _centered_mean_square, make_grid
-from .spectra import Psd, _require_same_grid, psd_from_samples
+from .spectra import Psd, _masked_log, _require_same_grid, psd_from_samples
 
 __all__ = [
     "DistanceMatrix",
@@ -325,7 +325,7 @@ def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> Dist
     take their logs once, and each row is differenced against the later rows
     a block at a time; the block goes through the centered-variance kernel
     that :func:`geodesic_distance` uses, so every entry is bit-identical to
-    it.  Pairs involving a spectrum with zeros go through
+    it.  Only the pairs with a spectrum with zeros go through
     :func:`geodesic_distance` itself, which owns the zero-set bookkeeping and
     the ``inf`` completion.
     """
@@ -337,10 +337,9 @@ def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> Dist
     for f in spectra[1:]:
         _require_same_grid(spectra[0], f)
     entries = np.zeros((k, k))
-    has_zeros = [bool(f.zero_set) for f in spectra]
-    positive = [i for i, z in enumerate(has_zeros) if not z]
-    logs = np.array([spectra[i].values for i in positive])
-    np.log(logs, out=logs)
+    positive = [i for i, f in enumerate(spectra) if not f.zero_set]
+    with_zeros = [i for i, f in enumerate(spectra) if f.zero_set]
+    logs = _masked_log(np.array([spectra[i].values for i in positive]))
     scratch = np.empty_like(logs[:_PAIR_BLOCK])
     for a, i in enumerate(positive):
         for start in range(a + 1, len(positive), _PAIR_BLOCK):
@@ -348,10 +347,9 @@ def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> Dist
             d = scratch[: len(js)]
             np.subtract(logs[a], logs[start : start + len(js)], out=d)
             entries[i, js] = entries[js, i] = np.sqrt(_centered_mean_square(d))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if has_zeros[i] or has_zeros[j]:
-                entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
+    for a, i in enumerate(with_zeros):
+        for j in positive + with_zeros[a + 1 :]:
+            entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
     entries.setflags(write=False)
     return DistanceMatrix(labels=tuple(labels), entries=entries)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid, _count, _transform_power, _Value, _vector
+from .grid import FrequencyGrid, _count, _mirrored_pairs, _transform_power, _Value, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -78,14 +78,6 @@ class PredictorCoeffs(_Value):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", order))
         object.__setattr__(self, "attained_variance", variance)
-
-
-def _mirrored_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The samples at theta_j and at -theta_j = theta_{n-j}, for the nodes
-    j = 1..ceil(n/2)-1 that have a distinct mirror.  theta = -pi, and theta =
-    0 when n is even, are their own mirrors."""
-    n = v.size
-    return v[1 : (n + 1) // 2], v[: n // 2 : -1]
 
 
 def _check_even_symmetry(f: Psd) -> None:

@@ -143,25 +143,28 @@ def log_ratio(f1: Psd, f2: Psd) -> np.ndarray | None:
     _require_same_grid(f1, f2)
     if f1.zero_set != f2.zero_set:
         return None
-    if not f1.zero_set:
-        out = np.log(f1.values) - np.log(f2.values)
-    else:
-        out = np.zeros(f1.grid.n)
-        nz = f1.values != 0.0
-        out[nz] = np.log(f1.values[nz]) - np.log(f2.values[nz])
+    out = _masked_log(np.array(f1.values))
+    out -= _masked_log(np.array(f2.values))
     out.setflags(write=False)
     return out
+
+
+def _masked_log(v: np.ndarray) -> np.ndarray:
+    """log of the nonzero samples of ``v``, in place; exact zeros stay 0."""
+    return np.log(v, out=v, where=v != 0.0)
 
 
 def _log_power_mean(logs: np.ndarray, r: float) -> float:
     """log of the power mean (mean(x^r))^(1/r) of x = exp(logs), or mean(logs)
     for r = 0.  The largest r*log x is factored out, so no x^r is formed and x
-    may lie far outside the double range; -inf logs (zeros) need r > 0."""
+    may lie far outside the double range; -inf logs (zeros) need r > 0.  The
+    mean is taken of x^r / max(x^r) - 1, by expm1, and logged by log1p, so a
+    nearly constant x keeps its digits."""
     if r == 0.0:
         return float(np.mean(logs))
     scaled = r * logs
     peak = scaled.max()
-    return float((peak + np.log(np.mean(np.exp(scaled - peak)))) / r)
+    return float((peak + np.log1p(np.mean(np.expm1(scaled - peak)))) / r)
 
 
 def generalized_mean(f: Psd, r: float) -> float:
@@ -206,5 +209,14 @@ def normalize_to_ray(f: Psd) -> Psd:
 
 
 def arithmetic_mean(f: Psd) -> float:
-    """mean(f) over the grid measure (total power)."""
-    return float(np.mean(f.values))
+    """mean(f) over the grid measure (total power).
+
+    Finite for every density: a sum past the double range is redone on the
+    samples scaled by their largest, which bounds the mean.
+    """
+    with np.errstate(over="ignore"):
+        total = np.mean(f.values)
+    if np.isinf(total):
+        peak = f.values.max()
+        total = peak * np.mean(f.values / peak)
+    return float(total)

@@ -7,6 +7,7 @@ from specdist import (
     GeodesicPath,
     geodesic_distance,
     geodesic_point,
+    make_grid,
     path_length,
     psd_constant,
     psd_from_ar,
@@ -322,3 +323,32 @@ def test_cli_output_is_deterministic(capsys, fixtures):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+class TestDoubleRange:
+    def test_scaled_metric_of_huge_constant_is_finite(self, capsys):
+        # inf means only "the zero sets differ": a mean past the sum's range is finite
+        code, out, err = run(capsys, "dist", "const:1e308", "const:1", "--metric", "d")
+        assert (code, out, err) == (0, "1e+308\n", "")
+
+    def test_geodesic_between_largest_doubles(self, capsys):
+        big = "1.7976931348623157e+308"
+        code, out, err = run(capsys, "geodesic", f"const:{big}", f"const:{big}", "--tau", 0.1, "--grid", 8)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [f"{t},{big}" for t in ["%.17g" % x for x in make_grid(8).nodes]]
+
+
+class TestGridHelp:
+    @pytest.mark.parametrize("verb", ["dist", "geodesic", "classify", "rho"])
+    def test_inline_verbs_describe_the_inline_grid(self, capsys, verb):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--grid N node count for inline analytic spectra (files keep their own grid)" in out
+
+    def test_estimate_describes_the_grid_of_its_estimate(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--grid N node count of the estimated PSD's grid" in out
+        assert "inline" not in out

@@ -11,6 +11,7 @@ from specdist import (
     divergence_sym,
     fisher_form,
     geodesic_distance,
+    log_ratio,
     make_grid,
     prediction_ratio,
     psd_constant,
@@ -170,6 +171,36 @@ class TestDivergenceAg:
         f2 = psd_with_zero_at(grid64, 5, base=1.0)
         assert divergence_ag(f1, f1) == 0.0
         assert 0.0 < divergence_ag(f1, f2) < math.inf
+
+
+def mp_log_power_mean(x, r):
+    """log (mean(exp(r x)))^(1/r) of the samples ``x`` in mpmath, or mean(x)
+    for r = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(t)) for t in x]
+        if r == 0:
+            return mpmath.fsum(xs) / len(xs)
+        return mpmath.log(mpmath.fsum(mpmath.exp(r * t) for t in xs) / len(xs)) / r
+
+
+class TestNearProportionalPairs:
+    """f * kappa * exp(eps cos 3 theta) against f: the gaps are about eps^2/4,
+    checked against an mpmath evaluation on the same log-ratio samples."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
+    @pytest.mark.parametrize("kappa", [1.0, math.exp(5.0)])
+    def test_gaps_keep_their_digits(self, grid4096, eps, kappa):
+        theta = grid4096.nodes
+        f2 = psd_from_samples(grid4096, np.exp(0.7 * np.cos(theta) + 0.3 * np.cos(2 * theta)))
+        f1 = psd_from_samples(grid4096, kappa * f2.values * np.exp(eps * np.cos(3 * theta)))
+        x = log_ratio(f1, f2)
+        bound = 1e-14 / eps
+        ag = mp_log_power_mean(x, 1) - mp_log_power_mean(x, 0)
+        assert divergence_ag(f1, f2) == pytest.approx(float(ag), rel=bound, abs=0.0)
+        rs = mp_log_power_mean(x, 2) - mp_log_power_mean(x, -1)
+        assert divergence_rs(f1, f2, 2.0, -1.0) == pytest.approx(float(rs), rel=bound, abs=0.0)
+        assert float(ag) == pytest.approx(eps**2 / 4, rel=1e-2, abs=0.0)
 
 
 class TestDivergenceSym:

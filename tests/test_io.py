@@ -480,9 +480,25 @@ def _mixed_spectra(k, grid, rng):
 
 class TestDistanceMatrix:
     @pytest.mark.parametrize("k", [1, 2, 33, 70])
-    def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k):
+    def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k, monkeypatch):
         spectra = _mixed_spectra(k, grid1024, np.random.default_rng(k))
+        calls = []
+
+        def counted(f1, f2):
+            calls.append(frozenset((id(f1), id(f2))))
+            return geodesic_distance(f1, f2)
+
+        monkeypatch.setattr(specdist_io, "geodesic_distance", counted)
         m = build_distance_matrix(spectra, [f"s{i}" for i in range(k)]).entries
+        # geodesic_distance runs once for each pair with a zero spectrum, and
+        # for no other pair
+        zero_pairs = {
+            frozenset((id(f1), id(f2)))
+            for i, f1 in enumerate(spectra)
+            for f2 in spectra[i + 1 :]
+            if f1.zero_set or f2.zero_set
+        }
+        assert len(calls) == len(zero_pairs) and set(calls) == zero_pairs
         for i in range(k):
             for j in range(i + 1, k):
                 expected = geodesic_distance(spectra[i], spectra[j])

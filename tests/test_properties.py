@@ -1,6 +1,7 @@
 """Invariants checked over generated inputs rather than hand-picked ones."""
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -21,6 +22,7 @@ from specdist import (
     path_length,
     psd_from_samples,
     read_psd_csv,
+    scaled_metric_d,
     write_psd_csv,
 )
 from specdist import io as specdist_io
@@ -230,3 +232,57 @@ def test_centered_variance_kernel_is_the_two_temporary_formula(block):
     grid = make_grid(block.shape[1])
     assert [_bits(central_variance(grid, x)) for x in block] == expected
     assert [_bits(v) for v in _centered_mean_square(block.copy())] == expected
+
+
+near_proportional = st.tuples(
+    positive_samples,
+    arrays(np.float64, GRID.n, elements=st.floats(min_value=-1.0, max_value=1.0)),
+    st.floats(min_value=-12.0, max_value=-1.0),
+    st.integers(min_value=-250, max_value=250),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pair=near_proportional)
+def test_divergences_are_nonnegative_on_near_proportional_pairs(pair):
+    # f against 10^exponent * f * exp(eps * shape): the ratio is constant up to
+    # eps, where log(mean(exp(.))) used to cancel every digit of the gap
+    values, shape, log_eps, exponent = pair
+    eps = 10.0**log_eps
+    f = psd_from_samples(GRID, values)
+    g = psd_from_samples(GRID, 10.0**exponent * values * np.exp(eps * shape))
+    for a, b in ((f, g), (g, f)):
+        assert divergence_ag(a, b) >= 0.0
+        if eps * np.ptp(shape) >= 1e-6:  # a spread far above rounding
+            assert divergence_ag(a, b) > 0.0
+        assert divergence_sym(a, b) >= 0.0
+        for r, s in ((2.0, 1.0), (1.0, -1.0), (0.5, 0.25), (-1.0, -2.0)):
+            assert divergence_rs(a, b, r, s) >= 0.0
+
+
+# Normal doubles from the least to the largest.  (Between subnormals a
+# geodesic point can only take the few values the subnormal spacing leaves,
+# so its distances lose digits that no formula could keep.)
+normal_densities = st.one_of(
+    st.floats(min_value=np.finfo(float).tiny, max_value=np.finfo(float).max),
+    st.sampled_from([np.finfo(float).tiny, 1e-300, 1e300, np.finfo(float).max]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    v0=arrays(np.float64, GRID.n, elements=normal_densities),
+    v1=arrays(np.float64, GRID.n, elements=normal_densities),
+    m=st.integers(min_value=2, max_value=12),
+)
+def test_geodesics_stay_finite_across_the_double_range(v0, v1, m):
+    f0, f1 = psd_from_samples(GRID, v0), psd_from_samples(GRID, v1)
+    path = geodesic_path(f0, f1, m)  # each point is a Psd, so finite
+    # between the endpoints, up to tau's rounding, which |log f| <= 709 amplifies
+    lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+    for point in path.points:
+        assert np.all(lo - point.values <= 1e-12 * lo)
+        assert np.all(point.values - hi <= 1e-12 * hi)
+    d = geodesic_distance(f0, f1)
+    assert path_length(path) == pytest.approx(d, rel=1e-12, abs=1e-12)
+    assert math.isfinite(scaled_metric_d(f0, f1))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from specdist import (
     NotNormalizableError,
     UnstableModelError,
+    arithmetic_mean,
     generalized_mean,
     geometric_mean,
     log_ratio,
@@ -192,6 +195,23 @@ class TestMeans:
     def test_positive_order_mean_with_zeros(self, grid64):
         f = psd_with_zero_at(grid64, 4, base=2.0)
         assert generalized_mean(f, 2.0) == pytest.approx(2.0 * np.sqrt(63 / 64), rel=1e-14)
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-300])
+    def test_small_order_mean_tends_to_the_geometric_mean(self, expcos, r):
+        # mean(f^r)^(1/r) = exp(r/4 + O(r^3)) for f = exp(cos theta)
+        assert generalized_mean(expcos, r) == pytest.approx(math.exp(r / 4), rel=1e-15, abs=0.0)
+
+    def test_arithmetic_mean_past_the_double_range_sum(self, grid4096):
+        # the sum of 4096 samples of 1e308 overflows; their mean does not
+        big = np.finfo(float).max
+        assert arithmetic_mean(psd_constant(grid4096, 1e308)) == 1e308
+        values = np.full(grid4096.n, 1.0)
+        values[::2] = big
+        assert arithmetic_mean(psd_from_samples(grid4096, values)) == pytest.approx(big / 2, rel=1e-15)
+
+    def test_arithmetic_mean_keeps_numpy_bits_when_finite(self, grid1024):
+        f = random_positive_spectrum(np.random.default_rng(6), grid1024)
+        assert arithmetic_mean(f) == float(np.mean(f.values))
 
     def test_geometric_mean_of_constant(self, grid64):
         assert geometric_mean(psd_constant(grid64, 3.5)) == pytest.approx(3.5, rel=1e-14)
