@@ -11,16 +11,18 @@ Submodules
 ----------
 grid         uniform frequency grid and quadrature
 spectra      density construction, validation, means, log ratios
-divergences  geodesic distance, prediction divergences, quadratic forms
+divergences  geodesic distance and its matrix, divergences, quadratic forms
 geodesics    log-geometric interpolation and path lengths
 prediction   finite-order linear-prediction cross-check of the ratio
 estimation   periodogram and Welch estimates on the package grid
-io           CSV persistence and distance matrices
+io           CSV persistence
 cli          the ``specdist`` command
 """
 
 from .divergences import (
+    DistanceMatrix,
     SpectrumClass,
+    build_distance_matrix,
     classify,
     divergence_ag,
     divergence_rs,
@@ -46,8 +48,6 @@ from .estimation import TimeSeries, periodogram, welch
 from .geodesics import GeodesicPath, geodesic_path, geodesic_point, path_length
 from .grid import FrequencyGrid, make_grid
 from .io import (
-    DistanceMatrix,
-    build_distance_matrix,
     read_psd_csv,
     read_timeseries_csv,
     write_distance_matrix_csv,

@@ -33,7 +33,6 @@ from . import divergences, estimation, geodesics, prediction
 from .errors import SpectralError
 from .grid import make_grid
 from .io import (
-    build_distance_matrix,
     format_scalar,
     read_psd_csv,
     read_timeseries_csv,
@@ -118,7 +117,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_matrix(args) -> int:
     spectra = [read_psd_csv(p) for p in args.files]
     labels = [Path(p).stem for p in args.files]
-    matrix = build_distance_matrix(spectra, labels)
+    matrix = divergences.build_distance_matrix(spectra, labels)
     write_distance_matrix_csv(matrix, args.out)
     return 0
 

@@ -1,16 +1,16 @@
 """Scalar comparison functionals between spectral densities.
 
 The central quantity is the geodesic distance: the standard deviation,
-under the normalized frequency measure, of log(f1/f2).  It is a
-pseudo-metric on densities (blind to positive scaling) and a metric on
-rays.  Around it sit the prediction-theoretic divergences (arithmetic-
-over-geometric mean of the ratio and its relatives), the quadratic form
-they all share to second order, and the Fisher information form kept here
-for contrast.  The distance and the divergences are all computed from
+under the normalized frequency measure, of log(f1/f2), tabulated by
+:func:`build_distance_matrix`.  It is a pseudo-metric on densities (blind
+to positive scaling) and a metric on rays.  Around it sit the prediction-
+theoretic divergences (arithmetic-over-geometric mean of the ratio and its
+relatives), the quadratic form they all share to second order, and the
+Fisher information form, for contrast.  The distance and divergences use
 :func:`~specdist.spectra.log_ratio` (the divergences as gaps between log
-power means), never from the ratio itself, so none overflows.
+power means), never the ratio itself, so none overflows.
 
-All functions return plain floats; ``math.inf`` encodes the completed
+The functionals return plain floats; ``math.inf`` encodes the completed
 value assigned when the log-ratio fails to exist (the two densities
 vanish on different sets), and only then.  IEEE arithmetic already
 provides the extended semantics the completion needs: ``inf + x == inf``
@@ -21,16 +21,21 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .grid import _vector, central_variance
-from .spectra import Psd, _log_power_mean, arithmetic_mean, log_ratio
+from .grid import _centered_mean_square, _vector, central_variance
+from .spectra import Psd, _log_power_mean, _masked_log, _require_same_grid
+from .spectra import arithmetic_mean, log_ratio
 
 __all__ = [
     "SpectrumClass",
     "classify",
     "geodesic_distance",
+    "DistanceMatrix",
+    "build_distance_matrix",
     "scaled_metric_d",
     "divergence_ag",
     "divergence_sym",
@@ -42,6 +47,10 @@ __all__ = [
 
 # Absolute tolerance on the probability-density constraints of fisher_form.
 _FISHER_NORM_TOL = 1e-9
+
+# Rows of strictly positive spectra differenced against one row at a time in
+# the pair loop; caps the scratch block at this many grid-length vectors.
+_PAIR_BLOCK = 32
 
 
 class SpectrumClass(enum.Enum):
@@ -73,6 +82,54 @@ def geodesic_distance(f1: Psd, f2: Psd) -> float:
     if x is None:
         return math.inf
     return math.sqrt(central_variance(f1.grid, x))
+
+
+@dataclass(frozen=True, eq=False)
+class DistanceMatrix:
+    """Symmetric pairwise geodesic distances with a zero diagonal.
+
+    Off-diagonal entries may be ``inf`` (pairs with differing zero sets);
+    that is data, not an error.
+    """
+
+    labels: tuple[str, ...]
+    entries: np.ndarray
+
+
+def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> DistanceMatrix:
+    """Geodesic distances between all pairs, each unordered pair computed once.
+
+    Evaluation is single-threaded and vectorized.  Strictly positive spectra
+    take their logs once, and each row is differenced against the later rows
+    a block at a time; the block goes through the centered-variance kernel
+    that :func:`geodesic_distance` uses, so every entry is bit-identical to
+    it.  Only the pairs with a spectrum with zeros go through
+    :func:`geodesic_distance` itself, which owns the zero-set bookkeeping and
+    the ``inf`` completion.
+    """
+    if len(spectra) != len(labels):
+        raise ValueError(
+            f"{len(spectra)} spectra but {len(labels)} labels"
+        )
+    k = len(spectra)
+    for f in spectra[1:]:
+        _require_same_grid(spectra[0], f)
+    entries = np.zeros((k, k))
+    positive = [i for i, f in enumerate(spectra) if not f.zero_set]
+    with_zeros = [i for i, f in enumerate(spectra) if f.zero_set]
+    logs = _masked_log(np.array([spectra[i].values for i in positive]))
+    scratch = np.empty_like(logs[:_PAIR_BLOCK])
+    for a, i in enumerate(positive):
+        for start in range(a + 1, len(positive), _PAIR_BLOCK):
+            js = positive[start : start + _PAIR_BLOCK]
+            d = scratch[: len(js)]
+            np.subtract(logs[a], logs[start : start + len(js)], out=d)
+            entries[i, js] = entries[js, i] = np.sqrt(_centered_mean_square(d))
+    for a, i in enumerate(with_zeros):
+        for j in positive + with_zeros[a + 1 :]:
+            entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
+    entries.setflags(write=False)
+    return DistanceMatrix(labels=tuple(labels), entries=entries)
 
 
 def scaled_metric_d(f1: Psd, f2: Psd) -> float:

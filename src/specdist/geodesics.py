@@ -26,10 +26,9 @@ class GeodesicPath:
     """Snapshots of the log-geometric interpolant at increasing tau values.
 
     ``taus`` always includes both endpoints 0 and 1; ``points[i]`` is the
-    interpolant at ``taus[i]`` and recomputable from the endpoints.
+    interpolant at ``taus[i]``, so ``points[0]`` and ``points[-1]`` are the endpoints.
     """
 
-    endpoints: tuple[Psd, Psd]
     taus: np.ndarray
     points: tuple[Psd, ...]
 
@@ -78,7 +77,7 @@ def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
     taus = np.arange(m) / (m - 1)
     taus.setflags(write=False)
     points = tuple(geodesic_point(f0, f1, t) for t in taus)
-    return GeodesicPath(endpoints=(f0, f1), taus=taus, points=points)
+    return GeodesicPath(taus=taus, points=points)
 
 
 def path_length(path: GeodesicPath) -> float:

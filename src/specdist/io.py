@@ -34,18 +34,16 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
-from .divergences import geodesic_distance
+from .divergences import DistanceMatrix, build_distance_matrix
 from .errors import CsvParseError, InvalidGridError, NegativeDensityError
 from .estimation import TimeSeries
-from .grid import _centered_mean_square, make_grid
-from .spectra import Psd, _masked_log, _require_same_grid, psd_from_samples
+from .grid import make_grid
+from .spectra import Psd, psd_from_samples
 
 __all__ = [
     "DistanceMatrix",
@@ -75,10 +73,6 @@ _CANONICAL_MAX_N = 1 << 14
 # File name suffixes numpy's datasource opens with a decompressor, so
 # np.loadtxt would not read such a file as the plain text it is.
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
-
-# Rows of strictly positive spectra differenced against one row at a time in
-# the pair loop; caps the scratch block at this many grid-length vectors.
-_PAIR_BLOCK = 32
 
 
 def format_scalar(x: float) -> str:
@@ -304,54 +298,6 @@ def read_timeseries_csv(path) -> TimeSeries:
         return TimeSeries(samples=table[:, 0], label=Path(os.fsdecode(path)).stem)
     except ValueError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric pairwise geodesic distances with a zero diagonal.
-
-    Off-diagonal entries may be ``inf`` (pairs with differing zero sets);
-    that is data, not an error.
-    """
-
-    labels: tuple[str, ...]
-    entries: np.ndarray
-
-
-def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> DistanceMatrix:
-    """Geodesic distances between all pairs, each unordered pair computed once.
-
-    Evaluation is single-threaded and vectorized.  Strictly positive spectra
-    take their logs once, and each row is differenced against the later rows
-    a block at a time; the block goes through the centered-variance kernel
-    that :func:`geodesic_distance` uses, so every entry is bit-identical to
-    it.  Only the pairs with a spectrum with zeros go through
-    :func:`geodesic_distance` itself, which owns the zero-set bookkeeping and
-    the ``inf`` completion.
-    """
-    if len(spectra) != len(labels):
-        raise ValueError(
-            f"{len(spectra)} spectra but {len(labels)} labels"
-        )
-    k = len(spectra)
-    for f in spectra[1:]:
-        _require_same_grid(spectra[0], f)
-    entries = np.zeros((k, k))
-    positive = [i for i, f in enumerate(spectra) if not f.zero_set]
-    with_zeros = [i for i, f in enumerate(spectra) if f.zero_set]
-    logs = _masked_log(np.array([spectra[i].values for i in positive]))
-    scratch = np.empty_like(logs[:_PAIR_BLOCK])
-    for a, i in enumerate(positive):
-        for start in range(a + 1, len(positive), _PAIR_BLOCK):
-            js = positive[start : start + _PAIR_BLOCK]
-            d = scratch[: len(js)]
-            np.subtract(logs[a], logs[start : start + len(js)], out=d)
-            entries[i, js] = entries[js, i] = np.sqrt(_centered_mean_square(d))
-    for a, i in enumerate(with_zeros):
-        for j in positive + with_zeros[a + 1 :]:
-            entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
-    entries.setflags(write=False)
-    return DistanceMatrix(labels=tuple(labels), entries=entries)
 
 
 def write_distance_matrix_csv(matrix: DistanceMatrix, path) -> None:

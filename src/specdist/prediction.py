@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import FrequencyGrid, _count, _mirrored_pairs, _transform_power, _Value, _vector
+from .grid import _count, _mirrored_pairs, _transform_power, _Value, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -44,7 +44,6 @@ class Autocovariance(_Value):
     """
 
     lags: np.ndarray
-    grid: FrequencyGrid
 
     def __post_init__(self):
         c = _vector(self.lags, "lags", at_least=1)
@@ -61,23 +60,23 @@ class Autocovariance(_Value):
 
 @dataclass(frozen=True, eq=False)
 class PredictorCoeffs(_Value):
-    """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) of integer order
-    ``order`` >= 0 with the prediction error variance it attains, which must be
-    finite and positive; ``coeffs`` (finite, exactly ``order`` long) is stored
-    read-only."""
+    """One-step predictor u(0) ~ sum_l coeffs[l-1] * u(-l) with the prediction
+    error variance it attains, which must be finite and positive; ``coeffs``
+    (finite) is stored read-only, and its length is the ``order``."""
 
-    order: int
     coeffs: np.ndarray
     attained_variance: float
 
     def __post_init__(self):
-        order = _count(self.order, "predictor order must be >= 0, got {}", 0)
         variance = float(self.attained_variance)
         if not 0.0 < variance < np.inf:
             raise ValueError(f"attained variance must be finite and > 0, got {variance}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs", order))
+        object.__setattr__(self, "coeffs", _vector(self.coeffs, "coeffs"))
         object.__setattr__(self, "attained_variance", variance)
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.size
 
 
 def _check_even_symmetry(f: Psd) -> None:
@@ -116,7 +115,7 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
     table = np.outer(np.arange(max_lag + 1), f.grid.nodes[: n // 2 + 1])
     np.cos(table, out=table)
     lags = table @ folded / n
-    return Autocovariance(lags=lags, grid=f.grid)
+    return Autocovariance(lags=lags)
 
 
 def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
@@ -151,7 +150,7 @@ def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
                 f"prediction error variance hit {variance} at order {m}; "
                 "covariance sequence is degenerate"
             )
-    return PredictorCoeffs(order=p, coeffs=coeffs, attained_variance=variance)
+    return PredictorCoeffs(coeffs=coeffs, attained_variance=variance)
 
 
 def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:

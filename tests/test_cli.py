@@ -180,11 +180,7 @@ class TestGeodesic:
         files = sorted(out_dir.glob("point_*.csv"))
         assert len(files) == steps
         points = tuple(read_psd_csv(p) for p in files)
-        path = GeodesicPath(
-            endpoints=(points[0], points[-1]),
-            taus=np.arange(steps) / (steps - 1),
-            points=points,
-        )
+        path = GeodesicPath(taus=np.arange(steps) / (steps - 1), points=points)
         f0 = read_psd_csv(fixtures["expcos"])
         f1 = read_psd_csv(fixtures["ar05"])
         assert abs(path_length(path) - geodesic_distance(f0, f1)) <= 1e-10

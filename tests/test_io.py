@@ -27,6 +27,7 @@ from specdist import (
     write_distance_matrix_csv,
     write_psd_csv,
 )
+from specdist import divergences
 from specdist import io as specdist_io
 from specdist.io import DistanceMatrix, format_scalar
 
@@ -479,6 +480,11 @@ def _mixed_spectra(k, grid, rng):
 
 
 class TestDistanceMatrix:
+    def test_io_binds_the_table_of_divergences(self):
+        # the table lives beside the distance; io keeps its public names
+        assert specdist_io.build_distance_matrix is divergences.build_distance_matrix
+        assert specdist_io.DistanceMatrix is divergences.DistanceMatrix
+
     @pytest.mark.parametrize("k", [1, 2, 33, 70])
     def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k, monkeypatch):
         spectra = _mixed_spectra(k, grid1024, np.random.default_rng(k))
@@ -488,7 +494,7 @@ class TestDistanceMatrix:
             calls.append(frozenset((id(f1), id(f2))))
             return geodesic_distance(f1, f2)
 
-        monkeypatch.setattr(specdist_io, "geodesic_distance", counted)
+        monkeypatch.setattr(divergences, "geodesic_distance", counted)
         m = build_distance_matrix(spectra, [f"s{i}" for i in range(k)]).entries
         # geodesic_distance runs once for each pair with a zero spectrum, and
         # for no other pair

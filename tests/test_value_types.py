@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+import specdist
 from specdist import (
     Autocovariance,
     FrequencyGrid,
@@ -34,9 +35,9 @@ OWNERS = {
     "Psd": (lambda x: Psd(GRID, x), lambda v: v.values),
     "psd_from_samples": (lambda x: psd_from_samples(GRID, x), lambda v: v.values),
     "TimeSeries": (lambda x: TimeSeries(samples=x), lambda v: v.samples),
-    "Autocovariance": (lambda x: Autocovariance(lags=x, grid=GRID), lambda v: v.lags),
+    "Autocovariance": (lambda x: Autocovariance(lags=x), lambda v: v.lags),
     "PredictorCoeffs": (
-        lambda x: PredictorCoeffs(order=len(x), coeffs=x, attained_variance=1.0),
+        lambda x: PredictorCoeffs(coeffs=x, attained_variance=1.0),
         lambda v: v.coeffs,
     ),
 }
@@ -95,8 +96,8 @@ VALUES = {
     "FrequencyGrid": lambda: FrequencyGrid(8),
     "Psd": lambda: Psd(GRID, [1, 0, 2, 3, 4, 5, 6, 7]),
     "TimeSeries": lambda: TimeSeries(samples=[1.5, -2.0, 3.0], label="x"),
-    "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5], grid=GRID),
-    "PredictorCoeffs": lambda: PredictorCoeffs(order=2, coeffs=[0.5, -0.25], attained_variance=1.5),
+    "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5]),
+    "PredictorCoeffs": lambda: PredictorCoeffs(coeffs=[0.5, -0.25], attained_variance=1.5),
 }
 COPIES = {
     "copy": copy.copy,
@@ -120,6 +121,29 @@ def test_a_copy_is_rebuilt_by_the_constructor(kind, route):
             assert b == a
 
 
+# Each value type stores what it is given, once; what it can derive it derives.
+INIT_FIELDS = {
+    "FrequencyGrid": ("n",),
+    "Psd": ("grid", "values"),
+    "TimeSeries": ("samples", "label"),
+    "Autocovariance": ("lags",),
+    "PredictorCoeffs": ("coeffs", "attained_variance"),
+    "GeodesicPath": ("taus", "points"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INIT_FIELDS))
+def test_init_fields(kind):
+    fields = dataclasses.fields(getattr(specdist, kind))
+    assert tuple(f.name for f in fields if f.init) == INIT_FIELDS[kind]
+
+
+def test_derived_fields_need_no_grid_or_order():
+    pred = levinson(Autocovariance(lags=[1.0, 0.5, 0.25]), 2)
+    assert pred.order == 2 == pred.coeffs.size
+    assert PredictorCoeffs(coeffs=[0.5], attained_variance=1.0).order == 1
+
+
 AR1 = psd_from_ar([0.5], 1.0, make_grid(64))
 SERIES = TimeSeries(samples=np.sin(np.arange(64.0)))
 
@@ -141,9 +165,6 @@ COUNTS = {
     "geodesic_path": (
         lambda k: geodesic_path(AR1, psd_constant(AR1.grid, 1.0), k), 3, 1,
         "a path needs at least its 2 endpoints, got m = 1"),
-    "PredictorCoeffs": (
-        lambda k: PredictorCoeffs(order=k, coeffs=[0.5] * 2, attained_variance=1.0), 2, -1,
-        "predictor order must be >= 0, got -1"),
 }
 
 
@@ -187,29 +208,32 @@ class TestPsd:
 
 
 class TestPredictorCoeffs:
-    def test_rejects_coefficients_that_do_not_match_the_order(self):
-        # 600 taps labelled order 1 would pass degraded_variance's n > 2*order
-        # guard on n = 1024 and give a wrong variance
-        message = r"coeffs must be a vector of length 1, got shape \(600,\)"
-        with pytest.raises(ValueError, match=message):
-            PredictorCoeffs(order=1, coeffs=np.full(600, 1e-3), attained_variance=1.0)
+    def test_order_is_the_coefficient_count(self):
+        # no order can be given that disagrees with the taps, so 600 of them
+        # always meet degraded_variance's n > 2*order guard on n = 1024
+        pred = PredictorCoeffs(coeffs=np.full(600, 1e-3), attained_variance=1.0)
+        assert pred.order == 600
+        with pytest.raises(TypeError):
+            PredictorCoeffs(order=1, coeffs=[0.5], attained_variance=1.0)
+        with pytest.raises(ValueError, match="too coarse for an order-600"):
+            degraded_variance(psd_constant(make_grid(1024), 1.0), pred)
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match=r"coeffs\[1\] = nan is not finite"):
-            PredictorCoeffs(order=2, coeffs=[0.5, np.nan], attained_variance=1.0)
+            PredictorCoeffs(coeffs=[0.5, np.nan], attained_variance=1.0)
 
     def test_rejects_a_matrix(self):
         with pytest.raises(ValueError, match="coeffs must be a vector"):
-            PredictorCoeffs(order=2, coeffs=np.zeros((1, 2)), attained_variance=1.0)
+            PredictorCoeffs(coeffs=np.zeros((1, 2)), attained_variance=1.0)
 
     @pytest.mark.parametrize("variance", [-5.0, 0.0, np.inf, np.nan])
     def test_rejects_an_unattainable_variance(self, variance):
         with pytest.raises(ValueError, match="attained variance must be finite and > 0"):
-            PredictorCoeffs(order=0, coeffs=[], attained_variance=variance)
+            PredictorCoeffs(coeffs=[], attained_variance=variance)
 
     def test_order_zero_still_gives_total_power(self):
         f = psd_from_ar([0.5], 1.0, make_grid(64))
-        pred = PredictorCoeffs(order=0, coeffs=[], attained_variance=1.0)
+        pred = PredictorCoeffs(coeffs=[], attained_variance=1.0)
         assert pred.coeffs.shape == (0,)
         assert degraded_variance(f, pred) == np.mean(f.values)
 
@@ -224,11 +248,11 @@ class TestCheckMessages:
 
     def test_non_finite_lags(self):
         with pytest.raises(ValueError, match=r"lags\[2\] = inf is not finite"):
-            Autocovariance(lags=[1.0, 0.5, np.inf], grid=GRID)
+            Autocovariance(lags=[1.0, 0.5, np.inf])
 
     def test_empty_lags(self):
         with pytest.raises(ValueError, match=r"lags must be a vector of length at least 1"):
-            Autocovariance(lags=[], grid=GRID)
+            Autocovariance(lags=[])
 
     def test_non_finite_ar_coefficients(self):
         with pytest.raises(ValueError, match=r"a\[1\] = nan is not finite"):
