@@ -225,10 +225,24 @@ def riemannian_form(f: Psd, delta) -> float:
     shared by divergence_ag, divergence_sym and (rescaled) divergence_rs.
 
     Degenerate exactly along the scaling direction ``delta = c*f``; that is
-    the infinitesimal face of the metric's scale-blindness.
+    the infinitesimal face of the metric's scale-blindness.  Where delta/f or
+    its squares pass the double range, the form is taken of delta/f scaled by
+    an exact power of two; a form past that range raises ``OverflowError``.
     """
     d = _check_delta(f, delta)
-    return central_variance(f.grid, d / f.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = float(_centered_mean_square(d / f.values))
+    if math.isfinite(form):
+        return form
+    # |delta/f| < 2**top; scaled below 2**480, its centered squares and their
+    # sum stay finite.
+    top = int(np.max(np.frexp(d)[1] - np.frexp(f.values)[1])) + 1
+    shift = top - 480
+    scaled = np.ldexp(d, -shift) / f.values
+    try:
+        return math.ldexp(float(_centered_mean_square(scaled)), 2 * shift)
+    except OverflowError:
+        raise OverflowError("the Riemannian form exceeds the double range") from None
 
 
 def fisher_form(f: Psd, delta) -> float:

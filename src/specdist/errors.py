@@ -21,8 +21,8 @@ class NoFiniteGeodesicError(SpectralError):
 
 
 class NotNormalizableError(SpectralError):
-    """Density vanishes somewhere, so no unit-geometric-mean representative
-    of its ray exists."""
+    """Density vanishes somewhere, or its unit-geometric-mean representative
+    exceeds the double range, so no such representative of its ray exists."""
 
 
 class DegenerateCovarianceError(SpectralError):
@@ -37,7 +37,8 @@ class EstimationError(SpectralError):
 
 class CsvParseError(SpectralError):
     """Malformed header or row in a CSV input file (message carries the
-    1-based line number)."""
+    1-based line number), or values that form no series or density (message
+    carries the path)."""
 
 
 class InvalidGridError(SpectralError):

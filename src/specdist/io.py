@@ -249,7 +249,8 @@ def read_psd_csv(path) -> Psd:
     Raises
     ------
     CsvParseError
-        Malformed header or row (message carries the 1-based line number).
+        Malformed header or row (message carries the 1-based line number),
+        or values that are no density (all zero).
     NegativeDensityError
         A negative sample in a file whose rows all parse (with its line
         number).
@@ -280,7 +281,10 @@ def read_psd_csv(path) -> Psd:
         raise InvalidGridError(
             f"{path}: frequency column must start at -pi, got {float(thetas[0])!r}"
         )
-    return psd_from_samples(grid, values)
+    try:
+        return psd_from_samples(grid, values)
+    except ValueError as exc:
+        raise CsvParseError(f"{path}: {exc}") from exc
 
 
 def read_timeseries_csv(path) -> TimeSeries:

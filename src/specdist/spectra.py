@@ -200,12 +200,19 @@ def geometric_mean(f: Psd) -> float:
 def normalize_to_ray(f: Psd) -> Psd:
     """The representative of the ray of ``f`` (its scale-equivalence class,
     {c*f : c > 0}) whose geometric mean is one: ``f`` divided by its
-    geometric mean.  Only strictly positive densities have one."""
+    geometric mean.  Only strictly positive densities have one, and only
+    within the double range."""
     if f.zero_set:
         raise NotNormalizableError(
             "density vanishes on the grid; its ray has no log-normalizable representative"
         )
-    return psd_from_samples(f.grid, f.values / geometric_mean(f))
+    with np.errstate(over="ignore", divide="ignore"):
+        values = f.values / geometric_mean(f)
+    if np.isinf(values).any():
+        raise NotNormalizableError(
+            "the unit-geometric-mean representative of the ray exceeds the double range"
+        )
+    return psd_from_samples(f.grid, values)
 
 
 def arithmetic_mean(f: Psd) -> float:

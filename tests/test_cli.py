@@ -142,6 +142,18 @@ class TestDist:
         assert code == 1
         assert "grids" in err
 
+    @pytest.mark.parametrize(
+        "form,message",
+        [
+            ("ar:0.5", "'ar:0.5': AR form is ar:<a1,a2,...>:<sigma2>"),
+            ("expcos:abc", "bad analytic spectrum 'expcos:abc': could not convert"),
+        ],
+    )
+    def test_malformed_analytic_form_is_usage_error(self, capsys, form, message):
+        code, out, err = run(capsys, "dist", form, "const:1", "--grid", 64)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {message}")
+
     def test_unknown_command_exits_2(self, fixtures):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -193,6 +205,12 @@ class TestGeodesic:
         )
         assert code == 2
 
+    def test_steps_without_out_is_usage_error(self, capsys, fixtures):
+        code, out, err = run(
+            capsys, "geodesic", fixtures["const1"], fixtures["expcos"], "--steps", 5
+        )
+        assert (code, out, err) == (2, "", "usage error: --steps requires --out DIR\n")
+
     def test_neither_tau_nor_steps_is_usage_error(self, capsys, fixtures):
         code, _, _ = run(capsys, "geodesic", fixtures["const1"], fixtures["expcos"])
         assert code == 2
@@ -229,6 +247,16 @@ class TestMatrix:
             assert code == 0
             blobs.add(out.read_bytes())
         assert len(blobs) == 1
+
+    def test_all_zero_file_is_named(self, capsys, tmp_path, fixtures):
+        zero = tmp_path / "zero.csv"
+        zero.write_text(per_row_psd_csv(make_grid(8).nodes, np.zeros(8)))
+        code, _, err = run(
+            capsys, "matrix", fixtures["const1"], zero, "--out", tmp_path / "m.csv"
+        )
+        assert code == 1
+        assert err == f"error: {zero}: the all-zero vector is not a density\n"
+        assert not (tmp_path / "m.csv").exists()
 
     def test_jobs_is_not_an_option(self, tmp_path, fixtures):
         with pytest.raises(SystemExit) as exc:

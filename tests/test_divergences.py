@@ -418,6 +418,26 @@ class TestQuadraticForms:
         with pytest.raises(ValueError, match="strictly positive"):
             riemannian_form(psd_with_zero_at(grid64, 1), np.ones(64))
 
+    def test_quotient_past_the_double_range(self):
+        # delta/f = 1e310 at every node: constant, so the form is 0
+        g = make_grid(8)
+        assert riemannian_form(psd_constant(g, 1e-310), np.ones(8)) == 0.0
+        # 2**500 at one node and 2**-100 elsewhere: its centered squares pass
+        # the double range, the form does not
+        f = psd_from_samples(g, [2.0**-1060] + [1.0] * 7)
+        assert riemannian_form(f, [2.0**-560] + [2.0**-100] * 7) == pytest.approx(
+            7.0 / 64.0 * 2.0**1000, rel=1e-15
+        )
+
+    def test_squares_past_the_double_range(self):
+        # delta/f is finite, but eight squares of 2**1023 sum past the range
+        a = math.sqrt(2.0) * 2.0**511
+        assert riemannian_form(psd_constant(make_grid(8), 1.0), [a, -a] * 4) == a * a
+
+    def test_form_past_the_double_range_raises(self):
+        with pytest.raises(OverflowError, match="Riemannian form exceeds the double range"):
+            riemannian_form(psd_constant(make_grid(8), 1e-310), [1.0, -1.0] * 4)
+
     def test_length_mismatch_is_rejected(self, flat_one):
         with pytest.raises(ValueError, match="length"):
             riemannian_form(flat_one, np.ones(7))

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import tracemalloc
 import urllib.request
 import warnings
@@ -105,6 +106,14 @@ class TestPsdRead:
     def test_single_row_is_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="at least 2"):
             read_psd_csv(self.write(tmp_path, "theta,psd\n-3.14,1\n"))
+
+    def test_all_zero_values_name_the_file(self, tmp_path):
+        thetas = -np.pi + np.pi / 2 * np.arange(4)
+        rows = "\n".join(f"{t:.17g},0" for t in thetas)
+        path = self.write(tmp_path, f"theta,psd\n{rows}\n")
+        message = f"^{re.escape(str(path))}: the all-zero vector is not a density$"
+        with pytest.raises(CsvParseError, match=message):
+            read_psd_csv(path)
 
 
 class TestTimeSeriesRead:
@@ -397,6 +406,23 @@ class TestFastParse:
         assert table is not None and table.shape == (1024, 2)
         np.testing.assert_array_equal(table[:, 1], f.values)
 
+    def test_body_over_the_canonical_cap_takes_loadtxt(self, tmp_path, monkeypatch):
+        # 32768 written rows are past the canonical parse's body limit
+        grid = make_grid(2 * specdist_io._CANONICAL_MAX_N)
+        f = random_positive_spectrum(np.random.default_rng(9), grid)
+        path = tmp_path / "f.csv"
+        write_psd_csv(f, path)
+        with open(path, newline="") as fh:
+            fh.readline()
+            assert specdist_io._canonical_psd_table(fh) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("left the loadtxt parse")
+
+        monkeypatch.setattr(specdist_io, "_read_rows", refuse)
+        g = read_psd_csv(path)
+        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+
     def test_written_files_take_the_canonical_parse(self, tmp_path, monkeypatch, grid1024):
         values = np.array(random_positive_spectrum(np.random.default_rng(4), grid1024).values)
         values[[0, 7, 1023]] = [0.0, 5e-324, 1.7976931348623157e308]
@@ -565,6 +591,12 @@ class TestDistanceMatrix:
     def test_label_count_must_match(self, grid64):
         with pytest.raises(ValueError, match="labels"):
             build_distance_matrix([psd_constant(grid64, 1.0)], ["a", "b"])
+
+    def test_write_into_a_missing_directory_names_the_path(self, tmp_path, grid64):
+        m = build_distance_matrix([psd_constant(grid64, 1.0)], ["only"])
+        out = tmp_path / "missing" / "m.csv"
+        with pytest.raises(OSError, match=f"^cannot write distance matrix to {re.escape(str(out))}: "):
+            write_distance_matrix_csv(m, out)
 
 
 def _old_matrix_text(matrix):

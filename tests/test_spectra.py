@@ -287,6 +287,13 @@ class TestRays:
         with pytest.raises(NotNormalizableError):
             normalize_to_ray(psd_with_zero_at(grid64, 2))
 
+    def test_representative_past_the_double_range_is_not_normalizable(self):
+        # the geometric mean is 1e-225, so f / gm would be 1e533 at node 0
+        f = psd_from_samples(make_grid(8), [1e308] + [1e-300] * 7)
+        message = "unit-geometric-mean representative of the ray exceeds the double range"
+        with pytest.raises(NotNormalizableError, match=message):
+            normalize_to_ray(f)
+
 
 def test_oracles_self_consistent():
     assert bessel_i0(1.0) == pytest.approx(BESSEL_I0_1, rel=1e-15)
