@@ -138,12 +138,6 @@ def test_init_fields(kind):
     assert tuple(f.name for f in fields if f.init) == INIT_FIELDS[kind]
 
 
-def test_derived_fields_need_no_grid_or_order():
-    pred = levinson(Autocovariance(lags=[1.0, 0.5, 0.25]), 2)
-    assert pred.order == 2 == pred.coeffs.size
-    assert PredictorCoeffs(coeffs=[0.5], attained_variance=1.0).order == 1
-
-
 AR1 = psd_from_ar([0.5], 1.0, make_grid(64))
 SERIES = TimeSeries(samples=np.sin(np.arange(64.0)))
 
