@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import _centered_mean_square, _vector, central_variance
+from .grid import _centered_mean_square, _sealed, _Value, _vector, central_variance
 from .spectra import Psd, _log_power_mean, _masked_log, _require_same_grid
 from .spectra import arithmetic_mean, log_ratio
 
@@ -85,15 +85,29 @@ def geodesic_distance(f1: Psd, f2: Psd) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """Symmetric pairwise geodesic distances with a zero diagonal.
 
     Off-diagonal entries may be ``inf`` (pairs with differing zero sets);
-    that is data, not an error.
+    that is data, not an error.  ``entries`` must be a K x K array for K
+    labels; it is stored read-only, and copied unless it already is such
+    that no writable array reaches it.
     """
 
     labels: tuple[str, ...]
     entries: np.ndarray
+
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        k = len(labels)
+        entries = self.entries if _sealed(self.entries) else np.array(self.entries, dtype=float)
+        if entries.shape != (k, k):
+            raise ValueError(
+                f"entries must be a {k} x {k} array for {k} labels, got shape {entries.shape}"
+            )
+        entries.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", entries)
 
 
 def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> DistanceMatrix:
@@ -251,7 +265,9 @@ def fisher_form(f: Psd, delta) -> float:
     Requires mean(f) = 1 and mean(delta) = 0 (both within 1e-9): ``f`` and
     ``f + delta`` must integrate to one.  Note the power of ``f`` differs
     from :func:`riemannian_form`; the two coincide on ``f = 1`` with
-    zero-mean ``delta`` and disagree in general.
+    zero-mean ``delta`` and disagree in general.  Where delta^2/f or its sum
+    passes the double range, the mean is taken of the terms for delta scaled
+    by an exact power of two; a form past that range raises ``OverflowError``.
     """
     d = _check_delta(f, delta)
     f_mean = float(np.mean(f.values))
@@ -265,4 +281,17 @@ def fisher_form(f: Psd, delta) -> float:
             f"perturbation is not mass-preserving: mean(delta) = {d_mean!r}, "
             f"must be 0 within {_FISHER_NORM_TOL}"
         )
-    return float(np.mean(d * d / f.values))
+    with np.errstate(over="ignore"):
+        form = float(np.mean(d * d / f.values))
+    if math.isfinite(form):
+        return form
+    # delta^2/f < 2**top.  With delta scaled by 2**-shift each term stays
+    # below 2**960, so their sum stays finite; the quotient is taken first
+    # because a delta scaled up can pass the range when squared.
+    top = int(np.max(2 * np.frexp(d)[1] - np.frexp(f.values)[1])) + 1
+    shift = (top - 959) // 2
+    scaled = np.ldexp(d, -shift)
+    try:
+        return math.ldexp(float(np.mean(scaled * (scaled / f.values))), 2 * shift)
+    except OverflowError:
+        raise OverflowError("the Fisher form exceeds the double range") from None

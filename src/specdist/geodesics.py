@@ -9,13 +9,16 @@ metric is intrinsic.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .divergences import geodesic_distance
 from .errors import NoFiniteGeodesicError
-from .grid import _count
+from .grid import _count, _Value, _vector
 from .spectra import Psd, _require_same_grid, psd_from_samples
 
 __all__ = ["GeodesicPath", "geodesic_point", "geodesic_path", "path_length"]
@@ -27,10 +30,21 @@ class GeodesicPath:
 
     ``taus`` always includes both endpoints 0 and 1; ``points[i]`` is the
     interpolant at ``taus[i]``, so ``points[0]`` and ``points[-1]`` are the endpoints.
+    :func:`geodesic_path` gives a sequence that computes each point when it is
+    accessed and keeps none; ``tuple(path.points)`` holds them all.
     """
 
     taus: np.ndarray
-    points: tuple[Psd, ...]
+    points: Sequence[Psd]
+
+
+def _require_finite_path(f0: Psd, f1: Psd) -> None:
+    """Refuse endpoints on different grids or with different zero sets."""
+    _require_same_grid(f0, f1)
+    if f0.zero_set != f1.zero_set:
+        raise NoFiniteGeodesicError(
+            "endpoints vanish on different sets; they are infinitely far apart"
+        )
 
 
 def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
@@ -46,14 +60,10 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
         If the endpoint zero sets differ (the endpoints are infinitely far
         apart, so no finite path connects them).
     """
-    _require_same_grid(f0, f1)
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau} (extrapolation refused)")
-    if f0.zero_set != f1.zero_set:
-        raise NoFiniteGeodesicError(
-            "endpoints vanish on different sets; they are infinitely far apart"
-        )
+    _require_finite_path(f0, f1)
     if tau == 0.0:
         return f0
     if tau == 1.0:
@@ -71,13 +81,39 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
     return psd_from_samples(f0.grid, values)
 
 
+@dataclass(frozen=True, eq=False)
+class _PathPoints(_Value, Sequence):
+    """``geodesic_point(f0, f1, taus[i])`` at index ``i``, computed on each
+    access and not kept, so a walk along the path holds one point at a time;
+    a slice gives a tuple.  ``taus`` is stored read-only, copies included."""
+
+    f0: Psd
+    f1: Psd
+    taus: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "taus", _vector(self.taus, "taus"))
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return geodesic_point(self.f0, self.f1, self.taus[operator.index(i)])
+
+
 def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
-    """Path sampled at the m uniform parameters tau_k = k/(m-1), for an integer m >= 2."""
+    """Path sampled at the m uniform parameters tau_k = k/(m-1), for an integer m >= 2.
+
+    The count and the endpoints are checked here; the points are computed
+    when they are accessed.
+    """
     m = _count(m, "a path needs at least its 2 endpoints, got m = {}", 2)
+    _require_finite_path(f0, f1)
     taus = np.arange(m) / (m - 1)
     taus.setflags(write=False)
-    points = tuple(geodesic_point(f0, f1, t) for t in taus)
-    return GeodesicPath(taus=taus, points=points)
+    return GeodesicPath(taus=taus, points=_PathPoints(f0, f1, taus))
 
 
 def path_length(path: GeodesicPath) -> float:
@@ -86,6 +122,4 @@ def path_length(path: GeodesicPath) -> float:
     Every segment is finite by construction, and the total reproduces the
     endpoint distance regardless of how finely the path is sampled.
     """
-    return sum(
-        geodesic_distance(a, b) for a, b in zip(path.points[:-1], path.points[1:])
-    )
+    return sum((geodesic_distance(a, b) for a, b in pairwise(path.points)), 0.0)

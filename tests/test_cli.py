@@ -211,6 +211,23 @@ class TestGeodesic:
         )
         assert (code, out, err) == (2, "", "usage error: --steps requires --out DIR\n")
 
+    def test_endpoints_without_a_path_write_no_directory(self, capsys, tmp_path, grid64, fixtures):
+        zeroed = tmp_path / "zeroed.csv"
+        write_psd_csv(psd_with_zero_at(grid64, 3), zeroed)
+        for other, message in [
+            ("const:1", "infinitely far apart"),
+            (fixtures["const1"], "different grids"),
+        ]:
+            out_dir = tmp_path / "path"
+            code, out, err = run(
+                capsys,
+                "geodesic", zeroed, other,
+                "--steps", 5, "--grid", 64, "--out", out_dir,
+            )
+            assert (code, out) == (1, "")
+            assert message in err
+            assert not out_dir.exists()
+
     def test_neither_tau_nor_steps_is_usage_error(self, capsys, fixtures):
         code, _, _ = run(capsys, "geodesic", fixtures["const1"], fixtures["expcos"])
         assert code == 2

@@ -464,6 +464,24 @@ class TestQuadraticForms:
         with pytest.raises(ValueError, match="mean\\(f\\)"):
             fisher_form(f, np.cos(grid4096.nodes))
 
+    @pytest.mark.parametrize(
+        "f,delta,form",
+        [
+            # 0.25**2 / 2**-1030 = 2**1026 passes the double range, the mean does not
+            ([2.0**-1030] + [8 / 7] * 7, [0.25] + [-0.25 / 7] * 7, 2.0**1023),
+            # four finite terms of 2**1022 sum past the range, the mean does not
+            ([2.0**-1030] * 4 + [2.0] * 4, [2.0**-4] * 4 + [-(2.0**-4)] * 4, 2.0**1021),
+        ],
+        ids=["quotient", "sum"],
+    )
+    def test_fisher_terms_past_the_double_range(self, f, delta, form):
+        assert fisher_form(psd_from_samples(make_grid(8), f), delta) == form
+
+    def test_fisher_form_past_the_double_range_raises(self):
+        f = psd_from_samples(make_grid(8), [1e-310] + [8 / 7] * 7)
+        with pytest.raises(OverflowError, match="Fisher form exceeds the double range"):
+            fisher_form(f, [1.0] + [-1 / 7] * 7)
+
     def test_forms_agree_on_flat_density(self, grid4096, flat_one):
         delta = np.cos(grid4096.nodes)
         assert fisher_form(flat_one, delta) == pytest.approx(

@@ -1,11 +1,17 @@
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from specdist import (
+    GeodesicPath,
     NoFiniteGeodesicError,
     geodesic_distance,
     geodesic_path,
     geodesic_point,
+    geodesics,
     make_grid,
     path_length,
     psd_constant,
@@ -79,7 +85,7 @@ class TestGeodesicPoint:
 class TestGeodesicPath:
     def test_two_point_path_is_the_endpoints(self, pair):
         path = geodesic_path(*pair, 2)
-        assert path.points == pair
+        assert tuple(path.points) == pair
         np.testing.assert_array_equal(path.taus, [0.0, 1.0])
 
     def test_three_point_path_midpoint(self, grid4096, flat_one, expcos, expcos2):
@@ -104,6 +110,92 @@ class TestGeodesicPath:
             np.testing.assert_array_equal(point.values, geodesic_point(f0, f1, tau).values)
 
 
+@pytest.fixture()
+def point_calls(monkeypatch):
+    """Count the calls to geodesic_point, where path points are computed."""
+    calls = []
+
+    def counted(f0, f1, tau):
+        calls.append(tau)
+        return geodesic_point(f0, f1, tau)
+
+    monkeypatch.setattr(geodesics, "geodesic_point", counted)
+    return calls
+
+
+class TestStreamedPath:
+    """geodesic_path checks its endpoints at once and computes each point only
+    when it is accessed, keeping none."""
+
+    def test_a_walk_holds_a_few_points(self):
+        grid = make_grid(4096)
+        rng = np.random.default_rng(42)
+        f0, f1 = random_positive_spectrum(rng, grid), random_positive_spectrum(rng, grid)
+        tracemalloc.start()
+        try:
+            for point in geodesic_path(f0, f1, 400).points:
+                assert point.values.size == grid.n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 400 held points would take 400 * 32 KiB
+        assert peak < 8 * grid.n * 8 + 16 * 1024
+
+    def test_a_long_path_is_not_computed_up_front(self, grid64, point_calls):
+        path = geodesic_path(psd_constant(grid64, 1.0), psd_constant(grid64, 2.0), 10**7)
+        assert len(path.points) == 10**7
+        assert point_calls == []
+        assert path.points[-1].values[0] == 2.0
+
+    def test_indexing_is_geodesic_point_at_the_same_tau(self, pair):
+        f0, f1 = pair
+        path = geodesic_path(f0, f1, 9)
+        for k in (0, 3, 8, -1, -9, np.int64(4)):
+            expected = geodesic_point(f0, f1, path.taus[k]).values
+            assert path.points[k].values.tobytes() == expected.tobytes()
+        window = path.points[2:5]
+        assert type(window) is tuple and len(window) == 3
+        for point, tau in zip(window, path.taus[2:5]):
+            assert point.values.tobytes() == geodesic_point(f0, f1, tau).values.tobytes()
+        assert len(path.points[::-3]) == 3
+        for k in (9, -10):
+            with pytest.raises(IndexError):
+                path.points[k]
+        with pytest.raises(TypeError):
+            path.points[1.0]
+
+    def test_points_are_read_only(self, pair):
+        points = geodesic_path(*pair, 3).points
+        with pytest.raises(TypeError):
+            points[1] = pair[0]
+        with pytest.raises(AttributeError):
+            points.f0 = pair[1]
+
+    @pytest.mark.parametrize("m", [2, 3, 11])
+    def test_path_length_computes_each_point_once(self, pair, point_calls, m):
+        path_length(geodesic_path(*pair, m))
+        assert len(point_calls) == m
+
+    def test_differing_zero_sets_are_refused_before_any_point(self, grid64, point_calls):
+        with pytest.raises(NoFiniteGeodesicError, match="infinitely far apart"):
+            geodesic_path(psd_with_zero_at(grid64, 4), psd_constant(grid64, 1.0), 5)
+        with pytest.raises(ValueError, match="different grids"):
+            geodesic_path(psd_constant(make_grid(8), 1.0), psd_constant(make_grid(16), 1.0), 5)
+        assert point_calls == []
+
+    @pytest.mark.parametrize(
+        "route", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_has_the_same_points(self, pair, route):
+        path = geodesic_path(*pair, 5)
+        copied = route(path)
+        assert copied.taus.tobytes() == path.taus.tobytes()
+        assert not copied.points.taus.flags.writeable
+        assert len(copied.points) == 5
+        for a, b in zip(path.points, copied.points):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
 class TestIntrinsicProperty:
     def test_distance_grows_proportionally(self, grid1024):
         rng = np.random.default_rng(41)
@@ -120,6 +212,10 @@ class TestIntrinsicProperty:
     def test_path_length_equals_endpoint_distance(self, pair, m):
         f0, f1 = pair
         assert abs(path_length(geodesic_path(f0, f1, m)) - geodesic_distance(f0, f1)) <= 1e-10
+
+    def test_one_point_path_has_length_float_zero(self, pair):
+        length = path_length(GeodesicPath(taus=np.array([0.0]), points=pair[:1]))
+        assert type(length) is float and length == 0.0
 
     def test_same_ray_endpoints_have_zero_length_path(self, grid64):
         f0 = psd_constant(grid64, 1.0)

@@ -511,6 +511,27 @@ class TestDistanceMatrix:
         assert specdist_io.build_distance_matrix is divergences.build_distance_matrix
         assert specdist_io.DistanceMatrix is divergences.DistanceMatrix
 
+    @pytest.mark.parametrize(
+        "labels,entries",
+        [(("a", "b", "c"), np.zeros((2, 2))), (("a", "b"), np.zeros((3, 2))), (("a",), [0.0])],
+        ids=["more-labels", "more-rows", "vector"],
+    )
+    def test_entries_must_be_square_over_the_labels(self, labels, entries):
+        with pytest.raises(ValueError, match=f"entries must be a {len(labels)} x {len(labels)} array"):
+            DistanceMatrix(labels=labels, entries=entries)
+
+    def test_stores_a_read_only_copy_of_a_writable_array(self):
+        entries = np.array([[0.0, 1.5], [1.5, 0.0]])
+        m = DistanceMatrix(labels=("a", "b"), entries=entries)
+        entries[0, 1] = 9.0
+        assert m.entries[0, 1] == 1.5 and not m.entries.flags.writeable
+
+    def test_keeps_a_read_only_array_that_owns_its_memory(self):
+        # as build_distance_matrix's table is, so it is stored without a copy
+        entries = np.array([[0.0, 1.5], [1.5, 0.0]])
+        entries.setflags(write=False)
+        assert DistanceMatrix(labels=("a", "b"), entries=entries).entries is entries
+
     @pytest.mark.parametrize("k", [1, 2, 33, 70])
     def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k, monkeypatch):
         spectra = _mixed_spectra(k, grid1024, np.random.default_rng(k))

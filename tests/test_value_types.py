@@ -11,6 +11,7 @@ import pytest
 import specdist
 from specdist import (
     Autocovariance,
+    DistanceMatrix,
     FrequencyGrid,
     PredictorCoeffs,
     Psd,
@@ -98,6 +99,7 @@ VALUES = {
     "TimeSeries": lambda: TimeSeries(samples=[1.5, -2.0, 3.0], label="x"),
     "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5]),
     "PredictorCoeffs": lambda: PredictorCoeffs(coeffs=[0.5, -0.25], attained_variance=1.5),
+    "DistanceMatrix": lambda: DistanceMatrix(labels=("a", "b"), entries=[[0, np.inf], [np.inf, 0]]),
 }
 COPIES = {
     "copy": copy.copy,
@@ -129,6 +131,7 @@ INIT_FIELDS = {
     "Autocovariance": ("lags",),
     "PredictorCoeffs": ("coeffs", "attained_variance"),
     "GeodesicPath": ("taus", "points"),
+    "DistanceMatrix": ("labels", "entries"),
 }
 
 
