@@ -115,7 +115,7 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    spectra = [read_psd_csv(p) for p in args.files]
+    spectra = (read_psd_csv(p) for p in args.files)
     labels = [Path(p).stem for p in args.files]
     matrix = divergences.build_distance_matrix(spectra, labels)
     write_distance_matrix_csv(matrix, args.out)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,28 +110,47 @@ class DistanceMatrix(_Value):
         object.__setattr__(self, "entries", entries)
 
 
-def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> DistanceMatrix:
+def build_distance_matrix(spectra: Iterable[Psd], labels: Sequence[str]) -> DistanceMatrix:
     """Geodesic distances between all pairs, each unordered pair computed once.
 
-    Evaluation is single-threaded and vectorized.  Strictly positive spectra
-    take their logs once, and each row is differenced against the later rows
-    a block at a time; the block goes through the centered-variance kernel
-    that :func:`geodesic_distance` uses, so every entry is bit-identical to
-    it.  Only the pairs with a spectrum with zeros go through
-    :func:`geodesic_distance` itself, which owns the zero-set bookkeeping and
-    the ``inf`` completion.
+    ``spectra`` may be any iterable, one spectrum per label; it is read once,
+    and no spectrum is held past its turn unless it has zeros.  Evaluation is
+    single-threaded and vectorized.  A strictly positive spectrum is logged
+    into the next row of one table as it arrives, and each row is differenced
+    against the later rows a block at a time; the block goes through the
+    centered-variance kernel that :func:`geodesic_distance` uses, so every
+    entry is bit-identical to it.  A strictly positive spectrum and one with
+    zeros have different zero sets, so their pair is ``inf`` without a call;
+    only the pairs of two spectra with zeros go through
+    :func:`geodesic_distance` itself, which owns the zero-set bookkeeping.
     """
-    if len(spectra) != len(labels):
-        raise ValueError(
-            f"{len(spectra)} spectra but {len(labels)} labels"
-        )
-    k = len(spectra)
-    for f in spectra[1:]:
-        _require_same_grid(spectra[0], f)
+    labels = tuple(labels)
+    k = len(labels)
+    count = 0
+    logs = np.empty((0, 0))
+    positive, with_zeros = [], []
+    has_zeros = np.zeros(k, dtype=bool)
+    for f in spectra:
+        if count == 0:
+            # rows that no positive spectrum fills are never touched, so
+            # they take no resident memory
+            first, logs = f, np.empty((k, f.grid.n))
+        else:
+            _require_same_grid(first, f)
+        if count < k:
+            if f.zero_set:
+                with_zeros.append((count, f))
+                has_zeros[count] = True
+            else:
+                row = logs[len(positive)]
+                row[:] = f.values
+                _masked_log(row)
+                positive.append(count)
+        count += 1
+    if count != k:
+        raise ValueError(f"{count} spectra but {k} labels")
     entries = np.zeros((k, k))
-    positive = [i for i, f in enumerate(spectra) if not f.zero_set]
-    with_zeros = [i for i, f in enumerate(spectra) if f.zero_set]
-    logs = _masked_log(np.array([spectra[i].values for i in positive]))
+    entries[has_zeros[:, None] != has_zeros] = math.inf
     scratch = np.empty_like(logs[:_PAIR_BLOCK])
     for a, i in enumerate(positive):
         for start in range(a + 1, len(positive), _PAIR_BLOCK):
@@ -139,11 +158,11 @@ def build_distance_matrix(spectra: Sequence[Psd], labels: Sequence[str]) -> Dist
             d = scratch[: len(js)]
             np.subtract(logs[a], logs[start : start + len(js)], out=d)
             entries[i, js] = entries[js, i] = np.sqrt(_centered_mean_square(d))
-    for a, i in enumerate(with_zeros):
-        for j in positive + with_zeros[a + 1 :]:
-            entries[i, j] = entries[j, i] = geodesic_distance(spectra[i], spectra[j])
+    for a, (i, fi) in enumerate(with_zeros):
+        for j, fj in with_zeros[a + 1 :]:
+            entries[i, j] = entries[j, i] = geodesic_distance(fi, fj)
     entries.setflags(write=False)
-    return DistanceMatrix(labels=tuple(labels), entries=entries)
+    return DistanceMatrix(labels=labels, entries=entries)
 
 
 def scaled_metric_d(f1: Psd, f2: Psd) -> float:

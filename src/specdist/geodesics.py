@@ -25,17 +25,38 @@ __all__ = ["GeodesicPath", "geodesic_point", "geodesic_path", "path_length"]
 
 
 @dataclass(frozen=True, eq=False)
-class GeodesicPath:
-    """Snapshots of the log-geometric interpolant at increasing tau values.
+class GeodesicPath(_Value):
+    """Snapshots of the log-geometric interpolant at nondecreasing tau values.
 
-    ``taus`` always includes both endpoints 0 and 1; ``points[i]`` is the
-    interpolant at ``taus[i]``, so ``points[0]`` and ``points[-1]`` are the endpoints.
-    :func:`geodesic_path` gives a sequence that computes each point when it is
-    accessed and keeps none; ``tuple(path.points)`` holds them all.
+    ``points[i]`` is the interpolant at ``taus[i]``; a path from
+    :func:`geodesic_path` runs from tau 0 to 1, so ``points[0]`` and
+    ``points[-1]`` are its endpoints.  ``taus`` is stored read-only, copied
+    unless no writable array reaches it, and must lie in [0, 1],
+    nondecreasing, one per point; otherwise ``ValueError``.  Only
+    ``len(points)`` is read to check them.  :func:`geodesic_path` gives a
+    sequence that computes each point when it is accessed and keeps none;
+    ``tuple(path.points)`` holds them all.
     """
 
     taus: np.ndarray
     points: Sequence[Psd]
+
+    def __post_init__(self):
+        taus = _vector(self.taus, "taus")
+        if taus.size != len(self.points):
+            raise ValueError(f"{taus.size} taus but {len(self.points)} points")
+        down = np.flatnonzero(taus[1:] < taus[:-1])
+        if down.size:
+            i = int(down[0])
+            raise ValueError(
+                f"taus must be nondecreasing, got taus[{i + 1}] = {taus[i + 1]} "
+                f"after taus[{i}] = {taus[i]}"
+            )
+        # nondecreasing, so the ends bound every tau
+        if taus.size and not (0.0 <= taus[0] and taus[-1] <= 1.0):
+            i = 0 if taus[0] < 0.0 else taus.size - 1
+            raise ValueError(f"taus must lie in [0, 1], got taus[{i}] = {taus[i]}")
+        object.__setattr__(self, "taus", taus)
 
 
 def _require_finite_path(f0: Psd, f1: Psd) -> None:
@@ -111,7 +132,8 @@ def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
     """
     m = _count(m, "a path needs at least its 2 endpoints, got m = {}", 2)
     _require_finite_path(f0, f1)
-    taus = np.arange(m) / (m - 1)
+    taus = np.arange(m, dtype=float)
+    taus /= m - 1
     taus.setflags(write=False)
     return GeodesicPath(taus=taus, points=_PathPoints(f0, f1, taus))
 

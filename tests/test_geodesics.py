@@ -196,6 +196,72 @@ class TestStreamedPath:
             assert a.values.tobytes() == b.values.tobytes()
 
 
+class TestPathValue:
+    """GeodesicPath checks its taus against its points and stores them
+    read-only, copies included."""
+
+    def test_taus_are_built_once_and_as_before(self, grid64):
+        m = 10**6
+        f0, f1 = psd_constant(grid64, 1.0), psd_constant(grid64, 2.0)
+        tracemalloc.start()
+        try:
+            path = geodesic_path(f0, f1, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an int64 arange beside the float taus would take 2 * m * 8 bytes
+        assert peak < 1.25 * m * 8
+        expected = np.arange(m) / (m - 1)
+        assert path.taus.tobytes() == expected.tobytes()
+
+    def test_a_path_keeps_the_sealed_taus_of_its_points(self, pair):
+        path = geodesic_path(*pair, 5)
+        assert path.taus is path.points.taus
+
+    @pytest.mark.parametrize(
+        "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_has_read_only_taus(self, pair, route):
+        for path in (geodesic_path(*pair, 5), GeodesicPath(taus=[0.0, 1.0], points=pair)):
+            copied = route(path)
+            assert type(copied) is GeodesicPath
+            assert not copied.taus.flags.writeable
+            assert copied.taus.tobytes() == path.taus.tobytes()
+            assert len(copied.points) == len(path.points)
+
+    def test_a_callers_taus_are_copied(self, pair):
+        taus = np.array([0.0, 1.0])
+        path = GeodesicPath(taus=taus, points=pair)
+        taus[0] = 0.5
+        assert path.taus[0] == 0.0 and not path.taus.flags.writeable
+
+    @pytest.mark.parametrize(
+        "taus,message",
+        [
+            ([0.0, 0.5, 1.0], "3 taus but 2 points"),
+            ([0.0], "1 taus but 2 points"),
+            ([0.5, 7.0], r"taus must lie in \[0, 1\], got taus\[1\] = 7.0"),
+            ([-0.25, 1.0], r"taus must lie in \[0, 1\], got taus\[0\] = -0.25"),
+            ([0.75, 0.25], r"taus must be nondecreasing, got taus\[1\] = 0.25 after taus\[0\] = 0.75"),
+            ([0.0, np.nan], r"taus\[1\] = nan is not finite"),
+        ],
+        ids=["too-many", "too-few", "above-one", "below-zero", "decreasing", "nan"],
+    )
+    def test_refuses_taus_that_do_not_fit_the_points(self, pair, taus, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeodesicPath(taus=taus, points=pair)
+
+    def test_checks_only_the_length_of_the_points(self, pair, point_calls):
+        path = geodesic_path(*pair, 10**6)
+        GeodesicPath(taus=path.taus, points=path.points)
+        assert point_calls == []
+
+    def test_repeated_taus_are_a_path(self, pair):
+        path = GeodesicPath(taus=[0.0, 0.0, 1.0], points=(pair[0], pair[0], pair[1]))
+        assert path_length(path) == geodesic_distance(*pair)
+
+
 class TestIntrinsicProperty:
     def test_distance_grows_proportionally(self, grid1024):
         rng = np.random.default_rng(41)

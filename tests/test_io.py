@@ -543,13 +543,13 @@ class TestDistanceMatrix:
 
         monkeypatch.setattr(divergences, "geodesic_distance", counted)
         m = build_distance_matrix(spectra, [f"s{i}" for i in range(k)]).entries
-        # geodesic_distance runs once for each pair with a zero spectrum, and
-        # for no other pair
+        # geodesic_distance runs once for each pair of spectra that both have
+        # zeros, and for no other pair
         zero_pairs = {
             frozenset((id(f1), id(f2)))
             for i, f1 in enumerate(spectra)
             for f2 in spectra[i + 1 :]
-            if f1.zero_set or f2.zero_set
+            if f1.zero_set and f2.zero_set
         }
         assert len(calls) == len(zero_pairs) and set(calls) == zero_pairs
         for i in range(k):
@@ -580,6 +580,44 @@ class TestDistanceMatrix:
     def test_no_spectra(self):
         m = build_distance_matrix([], [])
         assert m.labels == () and m.entries.shape == (0, 0)
+
+    def test_a_generator_is_read_once_and_gives_the_bits_of_the_list(self, grid1024):
+        spectra = _mixed_spectra(40, grid1024, np.random.default_rng(3))
+        labels = [f"s{i}" for i in range(len(spectra))]
+        # a second pass over the generator would find it empty
+        streamed = build_distance_matrix((f for f in spectra), labels).entries
+        listed = build_distance_matrix(spectra, labels).entries
+        assert streamed.tobytes() == listed.tobytes()
+
+    def test_a_stream_holds_one_log_row_per_spectrum(self):
+        # Holding every density beside its log row takes 2*k*n*8 bytes, plus
+        # the pair loop's scratch block of 32 rows (0.32*k*n*8 at k = 100).
+        # The stream holds the log table, that block and the spectrum read.
+        k, grid = 100, make_grid(4096)
+        rng = np.random.default_rng(8)
+        fresh = (psd_from_samples(grid, 1.0 + rng.random(grid.n)) for _ in range(k))
+        tracemalloc.start()
+        try:
+            build_distance_matrix(fresh, [f"s{i}" for i in range(k)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * grid.n * 8
+
+    @pytest.mark.parametrize("count", [0, 2, 4, 9])
+    def test_a_stream_of_the_wrong_length_names_both_counts(self, grid64, count):
+        spectra = (psd_constant(grid64, 1.0 + i) for i in range(count))
+        with pytest.raises(ValueError, match=f"^{count} spectra but 3 labels$"):
+            build_distance_matrix(spectra, ["a", "b", "c"])
+
+    def test_an_empty_stream(self):
+        m = build_distance_matrix(iter(()), [])
+        assert m.labels == () and m.entries.shape == (0, 0)
+
+    def test_a_stream_with_mixed_grids_names_the_first_mismatch(self, grid64, grid1024):
+        spectra = [psd_constant(grid64, 1.0), psd_with_zero_at(grid64, 2), psd_constant(grid1024, 1.0)]
+        with pytest.raises(ValueError, match=r"different grids \(n = 64 vs 1024\)"):
+            build_distance_matrix(iter(spectra), ["a", "b", "c"])
 
     def test_mixed_grids_name_the_first_mismatch(self, grid64, grid1024):
         spectra = [psd_constant(grid64, 1.0), psd_with_zero_at(grid64, 2), psd_constant(grid1024, 1.0)]
