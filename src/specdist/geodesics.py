@@ -9,7 +9,6 @@ metric is intrinsic.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
@@ -104,24 +103,23 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
 
 @dataclass(frozen=True, eq=False)
 class _PathPoints(_Value, Sequence):
-    """``geodesic_point(f0, f1, taus[i])`` at index ``i``, computed on each
-    access and not kept, so a walk along the path holds one point at a time;
-    a slice gives a tuple.  ``taus`` is stored read-only, copies included."""
+    """``geodesic_point(f0, f1, k / (m - 1))`` at index ``k`` of ``range(m)``,
+    computed on each access and not kept, so a walk along the path holds one
+    point at a time; a slice gives a tuple.  No tau array is stored: the
+    quotient rounds exactly as ``geodesic_path``'s taus do."""
 
     f0: Psd
     f1: Psd
-    taus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "taus", _vector(self.taus, "taus"))
+    m: int
 
     def __len__(self) -> int:
-        return len(self.taus)
+        return self.m
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        return geodesic_point(self.f0, self.f1, self.taus[operator.index(i)])
+        k = range(self.m)[i]
+        if isinstance(k, range):
+            return tuple(self[j] for j in k)
+        return geodesic_point(self.f0, self.f1, k / (self.m - 1))
 
 
 def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
@@ -135,7 +133,7 @@ def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
     taus = np.arange(m, dtype=float)
     taus /= m - 1
     taus.setflags(write=False)
-    return GeodesicPath(taus=taus, points=_PathPoints(f0, f1, taus))
+    return GeodesicPath(taus=taus, points=_PathPoints(f0, f1, m))
 
 
 def path_length(path: GeodesicPath) -> float:

@@ -37,7 +37,8 @@ class FrequencyGrid(_Value):
     The weights sum to one, so summing samples*weight approximates the
     normalized integral over [-pi, pi).  ``FrequencyGrid(n)`` derives its
     read-only ``nodes`` from ``n``, which it stores as an ``int``, and grids
-    compare equal iff they have the same node count.
+    compare equal iff they have the same node count.  A copy or an unpickled
+    grid is ``make_grid(n)``.
     """
 
     n: int
@@ -48,6 +49,11 @@ class FrequencyGrid(_Value):
         nodes = -np.pi + (2.0 * np.pi / self.n) * np.arange(self.n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+
+    def __reduce__(self):
+        # A copy or an unpickled grid is the shared one, so no copy builds
+        # its own ``nodes``.
+        return make_grid, (self.n,)
 
     @property
     def weight(self) -> float:

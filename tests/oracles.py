@@ -190,3 +190,25 @@ def ar1_path(a: float, sigma: float, length: int, rng: np.random.Generator) -> n
     for t in range(1, length):
         x[t] = a * x[t - 1] + innovations[t - 1]
     return x
+
+
+def ar_distance(a, b) -> float:
+    """Geodesic distance between AR(a) and AR(b) densities with no grid.
+
+    With z_j the roots of z^p - a_1 z^{p-1} - ... - a_p (all inside the unit
+    circle for a stable model), log f = log sigma^2 + 2 Re sum_k s_k
+    e^{-ik theta}/k, where s_k = sum_j z_j^k.  So d_g^2 = 2 sum_k |s_k(a) -
+    s_k(b)|^2 / k^2, and sigma^2 drops out.  The sum runs until the largest
+    pole's k-th power falls below 1e-17.
+    """
+    roots_a = np.roots(np.concatenate(([1.0], -np.asarray(a, dtype=float))))
+    roots_b = np.roots(np.concatenate(([1.0], -np.asarray(b, dtype=float))))
+    largest = max(np.abs(np.concatenate((roots_a, roots_b))), default=0.0)
+    terms = 1 if largest == 0.0 else max(1, math.ceil(math.log(1e-17) / math.log(largest)))
+    k = np.arange(1, terms + 1)
+
+    def power_sums(roots):
+        return (roots[:, None] ** k).sum(axis=0) if roots.size else np.zeros(terms)
+
+    gap = power_sums(roots_a) - power_sums(roots_b)
+    return math.sqrt(2.0 * math.fsum((np.abs(gap) / k) ** 2))

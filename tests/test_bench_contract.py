@@ -12,6 +12,7 @@ its matrix and estimate workloads start measuring the row parser.
 import importlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -102,3 +103,19 @@ def test_traced_segment_count_is_the_frames_welch_averages(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.snapshot()["counts"]["estimation.welch.segments"] == sum(rows)
+
+
+_REPO = _PERFBENCH.parent
+_BENCHMARK = json.loads((_REPO / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("path", sorted(_REPO.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_recorded_benchmark_names_every_workload_and_metric(path):
+    bench = json.loads(path.read_text())
+    assert len(bench["commit"]) == 40 and bench["seeds"]
+    assert sorted(bench["workloads"]) == sorted(w["name"] for w in _BENCHMARK["workloads"])
+    for workload in bench["workloads"].values():
+        for metric in _BENCHMARK["end_to_end"]:
+            value = workload["end_to_end"][metric["name"]]
+            assert value["unit"] == metric["unit"]
+            assert value["q1"] <= value["median"] <= value["q3"]

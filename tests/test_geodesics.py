@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -123,6 +124,20 @@ def point_calls(monkeypatch):
     return calls
 
 
+def arrays_held(value):
+    """The arrays among the fields of a dataclass value."""
+    fields = (getattr(value, f.name) for f in dataclasses.fields(value))
+    return [v for v in fields if isinstance(v, np.ndarray)]
+
+
+def assert_one_tau_array(path):
+    """The points of a path compute each tau from its index and hold no
+    array, so the path's read-only taus are the only tau array."""
+    assert arrays_held(path.points) == []
+    (taus,) = arrays_held(path)
+    assert taus is path.taus and not taus.flags.writeable
+
+
 class TestStreamedPath:
     """geodesic_path checks its endpoints at once and computes each point only
     when it is accessed, keeping none."""
@@ -190,7 +205,7 @@ class TestStreamedPath:
         path = geodesic_path(*pair, 5)
         copied = route(path)
         assert copied.taus.tobytes() == path.taus.tobytes()
-        assert not copied.points.taus.flags.writeable
+        assert_one_tau_array(copied)
         assert len(copied.points) == 5
         for a, b in zip(path.points, copied.points):
             assert a.values.tobytes() == b.values.tobytes()
@@ -214,9 +229,26 @@ class TestPathValue:
         expected = np.arange(m) / (m - 1)
         assert path.taus.tobytes() == expected.tobytes()
 
-    def test_a_path_keeps_the_sealed_taus_of_its_points(self, pair):
+    def test_a_path_holds_one_tau_array(self, pair):
         path = geodesic_path(*pair, 5)
-        assert path.taus is path.points.taus
+        assert_one_tau_array(path)
+
+    @pytest.mark.parametrize(
+        "route", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_of_a_long_path_holds_its_taus_once(self, grid64, route):
+        m = 10**6
+        path = geodesic_path(psd_constant(grid64, 1.0), psd_constant(grid64, 2.0), m)
+        tracemalloc.start()
+        try:
+            copied = route(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two tau arrays would take 2 * m * 8 bytes
+        assert held < 9 * 2**20
+        assert copied.taus.tobytes() == path.taus.tobytes()
+        assert_one_tau_array(copied)
 
     @pytest.mark.parametrize(
         "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
