@@ -67,12 +67,18 @@ def psd_with_zero_at(grid, index, base=1.0):
     return psd_from_samples(grid, values)
 
 
-def stable_ar_coeffs(rng, q):
-    """Coefficients of a stable AR(q) model, stepped up by the Levinson
-    recursion from reflection coefficients drawn in (-0.7, 0.7)."""
-    coeffs = np.zeros(q)
-    for m, k in enumerate(rng.uniform(-0.7, 0.7, q), start=1):
+def ar_from_reflections(reflections):
+    """Coefficients of the AR model with these reflection coefficients,
+    stepped up by the Levinson recursion; stable when every |k| < 1."""
+    coeffs = np.zeros(len(reflections))
+    for m, k in enumerate(reflections, start=1):
         head = coeffs[: m - 1]
         coeffs[: m - 1] = head - k * head[::-1]
         coeffs[m - 1] = k
     return coeffs
+
+
+def stable_ar_coeffs(rng, q):
+    """Coefficients of a stable AR(q) model, stepped up from reflection
+    coefficients drawn in (-0.7, 0.7)."""
+    return ar_from_reflections(rng.uniform(-0.7, 0.7, q))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from specdist import UnstableModelError, geodesic_distance, make_grid, psd_from_ar
 
+from conftest import ar_from_reflections
 from oracles import ar_distance, dilog
 
 GRID = make_grid(4096)
@@ -18,21 +19,12 @@ GRID = make_grid(4096)
 LIMIT = math.pi / math.sqrt(3.0)
 
 
-def step_up(reflections):
-    """AR coefficients of the model with these reflection coefficients."""
-    coeffs = np.zeros(len(reflections))
-    for m, k in enumerate(reflections, start=1):
-        head = coeffs[: m - 1].copy()
-        coeffs[: m - 1] = head - k * head[::-1]
-        coeffs[m - 1] = k
-    return coeffs
-
-
 def largest_pole(coeffs) -> float:
     return float(max(np.abs(np.roots(np.concatenate(([1.0], -coeffs)))), default=0.0))
 
 
-ar_models = st.lists(st.floats(min_value=-0.95, max_value=0.95), max_size=6).map(step_up)
+reflections = st.lists(st.floats(min_value=-0.95, max_value=0.95), max_size=6)
+ar_models = reflections.map(ar_from_reflections)
 
 
 @pytest.mark.parametrize(
@@ -56,7 +48,8 @@ def test_grid_distance_is_the_closed_form(a, b, gains):
 @pytest.mark.parametrize("a", [0.5, 0.9, 0.99, 0.999])
 def test_ar1_to_white_is_the_dilogarithm(a):
     # the series must run until its tail, about tol / (1 - a^2), is negligible
-    assert ar_distance([a], []) == pytest.approx(math.sqrt(2.0 * dilog(a * a, tol=1e-19)), rel=1e-13)
+    li2 = dilog(a * a, tol=1e-19)
+    assert ar_distance([a], []) == pytest.approx(math.sqrt(2.0 * li2), rel=1e-13)
 
 
 def test_the_stable_ar1_family_is_bounded():

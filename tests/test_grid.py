@@ -1,11 +1,7 @@
-import copy
-import pickle
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from specdist import autocov_from_psd, psd_constant, psd_from_samples
+from specdist import autocov_from_psd, psd_constant
 from specdist.grid import (
     FrequencyGrid,
     _centered_mean_square,
@@ -65,35 +61,6 @@ def test_constructed_grid_is_the_shared_grid(n):
     np.testing.assert_array_equal(g.nodes.view(np.uint64), make_grid(n).nodes.view(np.uint64))
     with pytest.raises(ValueError, match="read-only"):
         g.nodes[0] = 0.0
-
-
-COPIES = {
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
-}
-
-
-@pytest.mark.parametrize("route", sorted(COPIES))
-@pytest.mark.parametrize("n", [2, 7, 4096, np.int64(8)])
-def test_a_copied_grid_is_the_shared_grid(n, route):
-    for g in (FrequencyGrid(n), make_grid(n)):
-        assert COPIES[route](g) is make_grid(g.n)
-
-
-def test_unpickled_densities_share_one_grid():
-    grid = make_grid(4096)
-    rng = np.random.default_rng(9)
-    pickles = [pickle.dumps(psd_from_samples(grid, rng.random(grid.n))) for _ in range(200)]
-    tracemalloc.start()
-    try:
-        densities = [pickle.loads(p) for p in pickles]
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(f.grid is grid for f in densities)
-    # the values take 200 * 32 KiB = 6.25 MiB; a grid per density doubles it
-    assert held <= 7 * 2**20
 
 
 def test_grid_nodes_are_not_an_argument():

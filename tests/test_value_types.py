@@ -4,6 +4,7 @@ that no writable array can reach."""
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,28 @@ def test_a_copy_is_rebuilt_by_the_constructor(kind, route):
             np.testing.assert_array_equal(b.view(np.uint64), a.view(np.uint64))
         else:
             assert b == a
+
+
+@pytest.mark.parametrize("route", sorted(COPIES))
+@pytest.mark.parametrize("n", [2, 7, 4096, np.int64(8)])
+def test_a_copied_grid_is_the_shared_grid(n, route):
+    for g in (FrequencyGrid(n), make_grid(n)):
+        assert COPIES[route](g) is make_grid(g.n)
+
+
+def test_unpickled_densities_share_one_grid():
+    grid = make_grid(4096)
+    rng = np.random.default_rng(9)
+    pickles = [pickle.dumps(psd_from_samples(grid, rng.random(grid.n))) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        densities = [pickle.loads(p) for p in pickles]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(f.grid is grid for f in densities)
+    # the values take 200 * 32 KiB = 6.25 MiB; a grid per density doubles it
+    assert held <= 7 * 2**20
 
 
 # Each value type stores what it is given, once; what it can derive it derives.

@@ -36,7 +36,8 @@ COMMAND = ["python3", "perfbench/run.py"]
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True, text=True).stdout.strip()
+    proc = subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True, text=True)
+    return proc.stdout.strip()
 
 
 def benchmark_spec(checkout: Path) -> tuple[float, list[str], list[str], list[str]]:
@@ -54,13 +55,15 @@ def benchmark_spec(checkout: Path) -> tuple[float, list[str], list[str], list[st
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """One run of the benchmark: its record and its result line."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
-    proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout, capture_output=True, text=True)
+    cmd = [sys.executable, "perfbench/run.py", *args]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    run = f"{workload} seed {seed} trace {trace}"
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{workload} seed {seed} trace {trace}: exit {proc.returncode}: {proc.stderr.strip()[-400:]}")
+        raise RuntimeError(f"{run}: exit {proc.returncode}: {proc.stderr.strip()[-400:]}")
     record, result = json.loads(lines[-2])["record"], json.loads(lines[-1])
     if not result["correct"]:
-        raise RuntimeError(f"{workload} seed {seed} trace {trace}: incorrect: {record['problems']}")
+        raise RuntimeError(f"{run}: incorrect: {record['problems']}")
     return record, result
 
 
@@ -90,7 +93,8 @@ def record(commit: str, seeds: list[int], trace_seed: int, seconds: float | None
                 rec, result = run_once(checkout, w, seed, seconds, 0)
                 machine = machine or machine_block(rec["machine"])
                 runs[w].append(result["metrics"])
-                print(f"{w} seed {seed}: op_p50_ms {result['metrics']['op_p50_ms']['value']:.1f}", file=sys.stderr)
+                p50 = result["metrics"]["op_p50_ms"]["value"]
+                print(f"{w} seed {seed}: op_p50_ms {p50:.1f}", file=sys.stderr)
         traced = {w: run_once(checkout, w, trace_seed, seconds, 1)[1]["metrics"] for w in workloads}
     finally:
         git("worktree", "remove", "--force", str(checkout))
@@ -120,7 +124,9 @@ def from_baseline(commit: str, baseline_path: Path) -> dict:
     _, _, metrics, layers = benchmark_spec(REPO)
     out = {}
     for w, data in base["workloads"].items():
-        end_to_end = {m: {k: data["end_to_end"][m][k] for k in ("median", "q1", "q3", "unit")} for m in metrics}
+        end_to_end = {
+            m: {k: data["end_to_end"][m][k] for k in ("median", "q1", "q3", "unit")} for m in metrics
+        }
         self_ms = {name: data["per_layer_nonzero"].get(name, 0.0) for name in layers}
         out[w] = {"runs": len(data["ops_per_run"]), "end_to_end": end_to_end, "per_layer_self_ms": self_ms}
     return {
@@ -155,6 +161,7 @@ def main() -> int:
     args = parser.parse_args()
 
     commit = git("rev-parse", "--verify", f"{args.commit}^{{commit}}")
+    args.out.mkdir(parents=True, exist_ok=True)
     if args.from_baseline:
         bench = from_baseline(commit, args.from_baseline.resolve())
     else:
