@@ -64,11 +64,15 @@ class FrequencyGrid(_Value):
         return 2.0 * np.pi / self.n
 
 
-@functools.lru_cache(maxsize=16, typed=True)
 def make_grid(n: int) -> FrequencyGrid:
     """The uniform grid of n >= 2 nodes on [-pi, pi): ``FrequencyGrid(n)``,
-    shared, so one instance (and one ``nodes`` array) serves each node count.
-    Typed, so ``8.0`` never finds the grid cached for ``np.int64(8)``."""
+    shared, so one instance (and one ``nodes`` array) serves each node count,
+    whatever integer type ``n`` has."""
+    return _shared_grid(_count(n, "grid needs at least 2 nodes, got {}", 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_grid(n: int) -> FrequencyGrid:
     return FrequencyGrid(n)
 
 

@@ -1,22 +1,18 @@
-"""Record the benchmark of one commit as BENCH_<label>.json.
+"""Record the benchmark of one commit as BENCH_<sha7>.json.
 
-    python3 tools/bench_record.py COMMIT [--label L] [--seeds 701-710]
-        [--trace-seed 711] [--seconds S] [--work-dir DIR] [--out DIR]
-    python3 tools/bench_record.py COMMIT --from-baseline perfbench/baseline.json --label seed
+    python3 tools/bench_record.py COMMIT [--work-dir DIR] [--out DIR]
 
 The commit is checked out with ``git worktree`` at ``<work-dir>/<its full
 sha>``, a path whose length is the same for every commit, because a
 workload's peak RSS depends on the length of the checkout path.  Its own
-``perfbench/run.py`` runs there unchanged: every workload once per seed at
-``--trace 0``, seeds outermost, then once at ``--trace 1`` on the trace
-seed.  The file holds the commit, the command and seeds, the machine, the
-median and quartiles of each end-to-end metric over the seeds, and the
-traced ``self_ms`` of each layer.  A run that fails or reports an incorrect
-output stops the recording, and no file is written.
-
-``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.
-``--from-baseline`` writes the same fields from the benchmark's own seed
-baseline instead of running anything.
+``perfbench/run.py`` runs there unchanged for ``BENCHMARK.json``'s
+``run_seconds``: every workload once per seed of ``SEEDS`` at ``--trace 0``,
+seeds outermost, then once at ``--trace 1`` on ``TRACE_SEED``.  Seeds and
+run length are fixed, so any two recordings compare.  The file holds the
+commit, the command and seeds, the machine, the median and quartiles of
+each end-to-end metric over the seeds, and the traced ``self_ms`` of each
+layer.  A run that fails or reports an incorrect output stops the
+recording, and no file is written.
 """
 
 from __future__ import annotations
@@ -33,6 +29,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 COMMAND = ["python3", "perfbench/run.py"]
+SEEDS = list(range(701, 711))
+TRACE_SEED = 711
 
 
 def git(*args: str) -> str:
@@ -78,24 +76,23 @@ def machine_block(record_machine: dict) -> dict:
     return machine
 
 
-def record(commit: str, seeds: list[int], trace_seed: int, seconds: float | None, work_dir: Path) -> dict:
+def record(commit: str, work_dir: Path) -> dict:
     start = time.perf_counter()
     checkout = work_dir / commit
     work_dir.mkdir(parents=True, exist_ok=True)
     git("worktree", "add", "--detach", str(checkout), commit)
     try:
-        run_seconds, workloads, metrics, layers = benchmark_spec(checkout)
-        seconds = seconds or run_seconds
+        seconds, workloads, metrics, layers = benchmark_spec(checkout)
         runs = {w: [] for w in workloads}
         machine = None
-        for seed in seeds:
+        for seed in SEEDS:
             for w in workloads:
                 rec, result = run_once(checkout, w, seed, seconds, 0)
                 machine = machine or machine_block(rec["machine"])
                 runs[w].append(result["metrics"])
                 p50 = result["metrics"]["op_p50_ms"]["value"]
                 print(f"{w} seed {seed}: op_p50_ms {p50:.1f}", file=sys.stderr)
-        traced = {w: run_once(checkout, w, trace_seed, seconds, 1)[1]["metrics"] for w in workloads}
+        traced = {w: run_once(checkout, w, TRACE_SEED, seconds, 1)[1]["metrics"] for w in workloads}
     finally:
         git("worktree", "remove", "--force", str(checkout))
     out = {}
@@ -108,8 +105,8 @@ def record(commit: str, seeds: list[int], trace_seed: int, seconds: float | None
     return {
         "commit": commit,
         "command": COMMAND + ["--workload", "W", "--seed", "S", "--seconds", repr(seconds), "--trace", "0|1"],
-        "seeds": seeds,
-        "trace_seed": trace_seed,
+        "seeds": SEEDS,
+        "trace_seed": TRACE_SEED,
         "checkout_path_length": len(str(checkout)),
         "machine": machine,
         "recorder_wall_s": round(time.perf_counter() - start, 1),
@@ -117,60 +114,21 @@ def record(commit: str, seeds: list[int], trace_seed: int, seconds: float | None
     }
 
 
-def from_baseline(commit: str, baseline_path: Path) -> dict:
-    """The fields of a recording, taken from the benchmark's seed baseline;
-    a layer the baseline omits as zero reads 0.0."""
-    base = json.loads(baseline_path.read_text())
-    _, _, metrics, layers = benchmark_spec(REPO)
-    out = {}
-    for w, data in base["workloads"].items():
-        end_to_end = {
-            m: {k: data["end_to_end"][m][k] for k in ("median", "q1", "q3", "unit")} for m in metrics
-        }
-        self_ms = {name: data["per_layer_nonzero"].get(name, 0.0) for name in layers}
-        out[w] = {"runs": len(data["ops_per_run"]), "end_to_end": end_to_end, "per_layer_self_ms": self_ms}
-    return {
-        "commit": commit,
-        "about": f"Re-keyed from {baseline_path.relative_to(REPO)}: {base['about']}",
-        "command": COMMAND + ["--workload", "W", "--seed", "S", "--seconds", "16", "--trace", "0|1"],
-        "seeds": list(range(601, 611)),
-        "trace_seed": 7,
-        "machine": {**base["machine"], "PYTHONDONTWRITEBYTECODE": "unrecorded"},
-        "workloads": out,
-    }
-
-
-def seed_list(text: str) -> list[int]:
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
-    return seeds
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("commit")
-    parser.add_argument("--label", help="file label; default: the commit's 7-character sha")
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("701-710"))
-    parser.add_argument("--trace-seed", type=int, default=711)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--work-dir", type=Path, default=Path(tempfile.gettempdir()) / "specdist-bench")
     parser.add_argument("--out", type=Path, default=REPO)
-    parser.add_argument("--from-baseline", type=Path)
     args = parser.parse_args()
 
     commit = git("rev-parse", "--verify", f"{args.commit}^{{commit}}")
     args.out.mkdir(parents=True, exist_ok=True)
-    if args.from_baseline:
-        bench = from_baseline(commit, args.from_baseline.resolve())
-    else:
-        try:
-            bench = record(commit, args.seeds, args.trace_seed, args.seconds, args.work_dir.resolve())
-        except RuntimeError as exc:
-            print(f"bench_record: {exc}", file=sys.stderr)
-            return 1
-    path = args.out / f"BENCH_{args.label or commit[:7]}.json"
+    try:
+        bench = record(commit, args.work_dir.resolve())
+    except RuntimeError as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 1
+    path = args.out / f"BENCH_{commit[:7]}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(path)
     return 0
