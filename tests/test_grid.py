@@ -75,10 +75,6 @@ def test_grid_constructor_refuses_what_make_grid_refuses(n):
             build(n)
 
 
-def test_every_integer_type_of_a_count_shares_one_grid():
-    assert make_grid(np.int64(8)) is make_grid(8) is make_grid(np.int32(8))
-
-
 def test_make_grid_refuses_a_float_equal_to_a_cached_integer():
     make_grid(8), make_grid(np.int64(8))
     with pytest.raises(ValueError, match="at least 2 nodes"):
