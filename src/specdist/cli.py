@@ -109,7 +109,7 @@ def _cmd_geodesic(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(args.steps - 1)))
-    for i, point in enumerate(path.points):
+    for i, point in enumerate(path):
         write_psd_csv(point, out_dir / f"point_{i:0{width}d}.csv")
     return 0
 

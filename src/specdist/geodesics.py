@@ -9,7 +9,7 @@ metric is intrinsic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -17,45 +17,10 @@ import numpy as np
 
 from .divergences import geodesic_distance
 from .errors import NoFiniteGeodesicError
-from .grid import _count, _Value, _vector
+from .grid import _count, _Value
 from .spectra import Psd, _require_same_grid, psd_from_samples
 
 __all__ = ["GeodesicPath", "geodesic_point", "geodesic_path", "path_length"]
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicPath(_Value):
-    """Snapshots of the log-geometric interpolant at nondecreasing tau values.
-
-    ``points[i]`` is the interpolant at ``taus[i]``; a path from
-    :func:`geodesic_path` runs from tau 0 to 1, so ``points[0]`` and
-    ``points[-1]`` are its endpoints.  ``taus`` is stored read-only, copied
-    unless no writable array reaches it, and must lie in [0, 1],
-    nondecreasing, one per point; otherwise ``ValueError``.  Only
-    ``len(points)`` is read to check them.  :func:`geodesic_path` gives a
-    sequence that computes each point when it is accessed and keeps none;
-    ``tuple(path.points)`` holds them all.
-    """
-
-    taus: np.ndarray
-    points: Sequence[Psd]
-
-    def __post_init__(self):
-        taus = _vector(self.taus, "taus")
-        if taus.size != len(self.points):
-            raise ValueError(f"{taus.size} taus but {len(self.points)} points")
-        down = np.flatnonzero(taus[1:] < taus[:-1])
-        if down.size:
-            i = int(down[0])
-            raise ValueError(
-                f"taus must be nondecreasing, got taus[{i + 1}] = {taus[i + 1]} "
-                f"after taus[{i}] = {taus[i]}"
-            )
-        # nondecreasing, so the ends bound every tau
-        if taus.size and not (0.0 <= taus[0] and taus[-1] <= 1.0):
-            i = 0 if taus[0] < 0.0 else taus.size - 1
-            raise ValueError(f"taus must lie in [0, 1], got taus[{i}] = {taus[i]}")
-        object.__setattr__(self, "taus", taus)
 
 
 def _require_finite_path(f0: Psd, f1: Psd) -> None:
@@ -102,15 +67,25 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
 
 
 @dataclass(frozen=True, eq=False)
-class _PathPoints(_Value, Sequence):
-    """``geodesic_point(f0, f1, k / (m - 1))`` at index ``k`` of ``range(m)``,
+class GeodesicPath(_Value, Sequence):
+    """The geodesic from ``f0`` to ``f1`` sampled at the ``m`` uniform
+    parameters tau_k = k/(m-1), as a read-only sequence of densities.
+
+    Item ``k`` of ``range(m)`` is ``geodesic_point(f0, f1, k / (m - 1))``,
     computed on each access and not kept, so a walk along the path holds one
-    point at a time; a slice gives a tuple.  No tau array is stored: the
-    quotient rounds exactly as ``geodesic_path``'s taus do."""
+    point at a time; a slice gives a tuple.  Construction checks the count (an
+    integer m >= 2) and the endpoints (the same grid, the same zero sets) and
+    computes no point.
+    """
 
     f0: Psd
     f1: Psd
     m: int
+
+    def __post_init__(self):
+        m = _count(self.m, "a path needs at least its 2 endpoints, got m = {}", 2)
+        object.__setattr__(self, "m", m)
+        _require_finite_path(self.f0, self.f1)
 
     def __len__(self) -> int:
         return self.m
@@ -123,23 +98,17 @@ class _PathPoints(_Value, Sequence):
 
 
 def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:
-    """Path sampled at the m uniform parameters tau_k = k/(m-1), for an integer m >= 2.
+    """Path sampled at the m uniform parameters tau_k = k/(m-1), for an integer
+    m >= 2: ``GeodesicPath(f0, f1, m)``, whose points are computed when they
+    are accessed."""
+    return GeodesicPath(f0, f1, m)
 
-    The count and the endpoints are checked here; the points are computed
-    when they are accessed.
+
+def path_length(points: Iterable[Psd]) -> float:
+    """Sum of geodesic distances over consecutive densities of ``points``.
+
+    Along a :class:`GeodesicPath` every segment is finite by construction,
+    and the total reproduces the endpoint distance regardless of how finely
+    the path is sampled.  Fewer than two points have length 0.0.
     """
-    m = _count(m, "a path needs at least its 2 endpoints, got m = {}", 2)
-    _require_finite_path(f0, f1)
-    taus = np.arange(m, dtype=float)
-    taus /= m - 1
-    taus.setflags(write=False)
-    return GeodesicPath(taus=taus, points=_PathPoints(f0, f1, m))
-
-
-def path_length(path: GeodesicPath) -> float:
-    """Sum of geodesic distances over consecutive path points.
-
-    Every segment is finite by construction, and the total reproduces the
-    endpoint distance regardless of how finely the path is sampled.
-    """
-    return sum((geodesic_distance(a, b) for a, b in pairwise(path.points)), 0.0)
+    return sum((geodesic_distance(a, b) for a, b in pairwise(points)), 0.0)

@@ -48,12 +48,12 @@ def log_bessel_i0(x: float) -> float:
 
 
 def dilog(x: float, tol: float = 1e-14) -> float:
-    """Dilogarithm sum_{k>=1} x^k / k^2 for |x| < 1."""
+    """Dilogarithm sum_{k>=1} x^k / k^2 for |x| < 1, summed until the tail
+    after term k, at most |x|^(k+1) / ((k+1)^2 (1 - |x|)), is below tol."""
     total, k = 0.0, 1
     while True:
-        term = x**k / (k * k)
-        total += term
-        if abs(term) < tol:
+        total += x**k / (k * k)
+        if abs(x) ** (k + 1) / ((k + 1) ** 2 * (1.0 - abs(x))) < tol:
             return total
         k += 1
 

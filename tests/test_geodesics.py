@@ -84,14 +84,14 @@ class TestGeodesicPoint:
 
 
 class TestGeodesicPath:
-    def test_two_point_path_is_the_endpoints(self, pair):
+    def test_two_point_path_is_the_endpoints(self, pair, point_calls):
         path = geodesic_path(*pair, 2)
-        assert tuple(path.points) == pair
-        np.testing.assert_array_equal(path.taus, [0.0, 1.0])
+        assert tuple(path) == pair
+        assert point_calls == [0.0, 1.0]
 
     def test_three_point_path_midpoint(self, grid4096, flat_one, expcos, expcos2):
         path = geodesic_path(flat_one, expcos2, 3)
-        np.testing.assert_allclose(path.points[1].values, expcos.values, rtol=1e-14)
+        np.testing.assert_allclose(path[1].values, expcos.values, rtol=1e-14)
 
     def test_short_paths_are_rejected(self, pair):
         with pytest.raises(ValueError, match="endpoints"):
@@ -99,16 +99,14 @@ class TestGeodesicPath:
 
     def test_consecutive_points_are_equidistant(self, pair):
         path = geodesic_path(*pair, 11)
-        segments = [
-            geodesic_distance(a, b) for a, b in zip(path.points[:-1], path.points[1:])
-        ]
+        segments = [geodesic_distance(a, b) for a, b in zip(path[:-1], path[1:])]
         np.testing.assert_allclose(segments, segments[0], rtol=1e-9)
 
     def test_points_are_recomputable_from_taus(self, pair):
         f0, f1 = pair
         path = geodesic_path(f0, f1, 7)
-        for tau, point in zip(path.taus, path.points):
-            np.testing.assert_array_equal(point.values, geodesic_point(f0, f1, tau).values)
+        for k, point in enumerate(path):
+            np.testing.assert_array_equal(point.values, geodesic_point(f0, f1, k / 6).values)
 
 
 @pytest.fixture()
@@ -130,14 +128,6 @@ def arrays_held(value):
     return [v for v in fields if isinstance(v, np.ndarray)]
 
 
-def assert_one_tau_array(path):
-    """The points of a path compute each tau from its index and hold no
-    array, so the path's read-only taus are the only tau array."""
-    assert arrays_held(path.points) == []
-    (taus,) = arrays_held(path)
-    assert taus is path.taus and not taus.flags.writeable
-
-
 class TestStreamedPath:
     """geodesic_path checks its endpoints at once and computes each point only
     when it is accessed, keeping none."""
@@ -148,7 +138,7 @@ class TestStreamedPath:
         f0, f1 = random_positive_spectrum(rng, grid), random_positive_spectrum(rng, grid)
         tracemalloc.start()
         try:
-            for point in geodesic_path(f0, f1, 400).points:
+            for point in geodesic_path(f0, f1, 400):
                 assert point.values.size == grid.n
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -158,29 +148,29 @@ class TestStreamedPath:
 
     def test_a_long_path_is_not_computed_up_front(self, grid64, point_calls):
         path = geodesic_path(psd_constant(grid64, 1.0), psd_constant(grid64, 2.0), 10**7)
-        assert len(path.points) == 10**7
+        assert len(path) == 10**7
         assert point_calls == []
-        assert path.points[-1].values[0] == 2.0
+        assert path[-1].values[0] == 2.0
 
     def test_indexing_is_geodesic_point_at_the_same_tau(self, pair):
         f0, f1 = pair
         path = geodesic_path(f0, f1, 9)
         for k in (0, 3, 8, -1, -9, np.int64(4)):
-            expected = geodesic_point(f0, f1, path.taus[k]).values
-            assert path.points[k].values.tobytes() == expected.tobytes()
-        window = path.points[2:5]
+            expected = geodesic_point(f0, f1, (k % 9) / 8).values
+            assert path[k].values.tobytes() == expected.tobytes()
+        window = path[2:5]
         assert type(window) is tuple and len(window) == 3
-        for point, tau in zip(window, path.taus[2:5]):
-            assert point.values.tobytes() == geodesic_point(f0, f1, tau).values.tobytes()
-        assert len(path.points[::-3]) == 3
+        for point, k in zip(window, range(2, 5)):
+            assert point.values.tobytes() == geodesic_point(f0, f1, k / 8).values.tobytes()
+        assert len(path[::-3]) == 3
         for k in (9, -10):
             with pytest.raises(IndexError):
-                path.points[k]
+                path[k]
         with pytest.raises(TypeError):
-            path.points[1.0]
+            path[1.0]
 
     def test_points_are_read_only(self, pair):
-        points = geodesic_path(*pair, 3).points
+        points = geodesic_path(*pair, 3)
         with pytest.raises(TypeError):
             points[1] = pair[0]
         with pytest.raises(AttributeError):
@@ -192,10 +182,11 @@ class TestStreamedPath:
         assert len(point_calls) == m
 
     def test_differing_zero_sets_are_refused_before_any_point(self, grid64, point_calls):
-        with pytest.raises(NoFiniteGeodesicError, match="infinitely far apart"):
-            geodesic_path(psd_with_zero_at(grid64, 4), psd_constant(grid64, 1.0), 5)
-        with pytest.raises(ValueError, match="different grids"):
-            geodesic_path(psd_constant(make_grid(8), 1.0), psd_constant(make_grid(16), 1.0), 5)
+        for build in (geodesic_path, GeodesicPath):
+            with pytest.raises(NoFiniteGeodesicError, match="infinitely far apart"):
+                build(psd_with_zero_at(grid64, 4), psd_constant(grid64, 1.0), 5)
+            with pytest.raises(ValueError, match="different grids"):
+                build(psd_constant(make_grid(8), 1.0), psd_constant(make_grid(16), 1.0), 5)
         assert point_calls == []
 
     @pytest.mark.parametrize(
@@ -204,94 +195,34 @@ class TestStreamedPath:
     def test_a_copy_has_the_same_points(self, pair, route):
         path = geodesic_path(*pair, 5)
         copied = route(path)
-        assert copied.taus.tobytes() == path.taus.tobytes()
-        assert_one_tau_array(copied)
-        assert len(copied.points) == 5
-        for a, b in zip(path.points, copied.points):
+        assert copied.m == path.m
+        assert arrays_held(copied) == []
+        assert len(copied) == 5
+        for a, b in zip(path, copied):
             assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestPathValue:
-    """GeodesicPath checks its taus against its points and stores them
-    read-only, copies included."""
-
-    def test_taus_are_built_once_and_as_before(self, grid64):
-        m = 10**6
-        f0, f1 = psd_constant(grid64, 1.0), psd_constant(grid64, 2.0)
-        tracemalloc.start()
-        try:
-            path = geodesic_path(f0, f1, m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # an int64 arange beside the float taus would take 2 * m * 8 bytes
-        assert peak < 1.25 * m * 8
-        expected = np.arange(m) / (m - 1)
-        assert path.taus.tobytes() == expected.tobytes()
-
-    def test_a_path_holds_one_tau_array(self, pair):
-        path = geodesic_path(*pair, 5)
-        assert_one_tau_array(path)
-
-    @pytest.mark.parametrize(
-        "route", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"]
-    )
-    def test_a_copy_of_a_long_path_holds_its_taus_once(self, grid64, route):
-        m = 10**6
-        path = geodesic_path(psd_constant(grid64, 1.0), psd_constant(grid64, 2.0), m)
-        tracemalloc.start()
-        try:
-            copied = route(path)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # two tau arrays would take 2 * m * 8 bytes
-        assert held < 9 * 2**20
-        assert copied.taus.tobytes() == path.taus.tobytes()
-        assert_one_tau_array(copied)
+    """A GeodesicPath is its endpoints and its count, copies included."""
 
     @pytest.mark.parametrize(
         "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
         ids=["copy", "deepcopy", "pickle"],
     )
     def test_a_copy_has_read_only_taus(self, pair, route):
-        for path in (geodesic_path(*pair, 5), GeodesicPath(taus=[0.0, 1.0], points=pair)):
+        for path in (geodesic_path(*pair, 5), GeodesicPath(*pair, 2)):
             copied = route(path)
             assert type(copied) is GeodesicPath
-            assert not copied.taus.flags.writeable
-            assert copied.taus.tobytes() == path.taus.tobytes()
-            assert len(copied.points) == len(path.points)
-
-    def test_a_callers_taus_are_copied(self, pair):
-        taus = np.array([0.0, 1.0])
-        path = GeodesicPath(taus=taus, points=pair)
-        taus[0] = 0.5
-        assert path.taus[0] == 0.0 and not path.taus.flags.writeable
-
-    @pytest.mark.parametrize(
-        "taus,message",
-        [
-            ([0.0, 0.5, 1.0], "3 taus but 2 points"),
-            ([0.0], "1 taus but 2 points"),
-            ([0.5, 7.0], r"taus must lie in \[0, 1\], got taus\[1\] = 7.0"),
-            ([-0.25, 1.0], r"taus must lie in \[0, 1\], got taus\[0\] = -0.25"),
-            ([0.75, 0.25], r"taus must be nondecreasing, got taus\[1\] = 0.25 after taus\[0\] = 0.75"),
-            ([0.0, np.nan], r"taus\[1\] = nan is not finite"),
-        ],
-        ids=["too-many", "too-few", "above-one", "below-zero", "decreasing", "nan"],
-    )
-    def test_refuses_taus_that_do_not_fit_the_points(self, pair, taus, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            GeodesicPath(taus=taus, points=pair)
-
-    def test_checks_only_the_length_of_the_points(self, pair, point_calls):
-        path = geodesic_path(*pair, 10**6)
-        GeodesicPath(taus=path.taus, points=path.points)
-        assert point_calls == []
+            assert arrays_held(copied) == []
+            with pytest.raises(AttributeError):
+                copied.m = 3
+            assert len(copied) == len(path)
+            for a, b in zip(path, copied):
+                assert a.values.tobytes() == b.values.tobytes()
 
     def test_repeated_taus_are_a_path(self, pair):
-        path = GeodesicPath(taus=[0.0, 0.0, 1.0], points=(pair[0], pair[0], pair[1]))
-        assert path_length(path) == geodesic_distance(*pair)
+        f0, f1 = pair
+        assert path_length((f0, f0, f1)) == geodesic_distance(f0, f1)
 
 
 class TestIntrinsicProperty:
@@ -312,8 +243,9 @@ class TestIntrinsicProperty:
         assert abs(path_length(geodesic_path(f0, f1, m)) - geodesic_distance(f0, f1)) <= 1e-10
 
     def test_one_point_path_has_length_float_zero(self, pair):
-        length = path_length(GeodesicPath(taus=np.array([0.0]), points=pair[:1]))
-        assert type(length) is float and length == 0.0
+        for points in (pair[:1], ()):
+            length = path_length(points)
+            assert type(length) is float and length == 0.0
 
     def test_same_ray_endpoints_have_zero_length_path(self, grid64):
         f0 = psd_constant(grid64, 1.0)

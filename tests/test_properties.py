@@ -280,7 +280,7 @@ def test_geodesics_stay_finite_across_the_double_range(v0, v1, m):
     path = geodesic_path(f0, f1, m)  # each point is a Psd, so finite
     # between the endpoints, up to tau's rounding, which |log f| <= 709 amplifies
     lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
-    for point in path.points:
+    for point in path:
         assert np.all(lo - point.values <= 1e-12 * lo)
         assert np.all(point.values - hi <= 1e-12 * hi)
     d = geodesic_distance(f0, f1)

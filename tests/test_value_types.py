@@ -14,6 +14,7 @@ from specdist import (
     Autocovariance,
     DistanceMatrix,
     FrequencyGrid,
+    GeodesicPath,
     PredictorCoeffs,
     Psd,
     TimeSeries,
@@ -101,6 +102,9 @@ VALUES = {
     "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5]),
     "PredictorCoeffs": lambda: PredictorCoeffs(coeffs=[0.5, -0.25], attained_variance=1.5),
     "DistanceMatrix": lambda: DistanceMatrix(labels=("a", "b"), entries=[[0, np.inf], [np.inf, 0]]),
+    "GeodesicPath": lambda: GeodesicPath(
+        Psd(GRID, [1, 0, 2, 3, 4, 5, 6, 7]), Psd(GRID, [7, 0, 6, 5, 4, 3, 2, 1]), 5
+    ),
 }
 COPIES = {
     "copy": copy.copy,
@@ -114,12 +118,20 @@ COPIES = {
 def test_a_copy_is_rebuilt_by_the_constructor(kind, route):
     original = VALUES[kind]()
     copied = COPIES[route](original)
+    assert_same_fields(copied, original)
+
+
+def assert_same_fields(copied, original):
+    """The fields agree: arrays by their bits and read-only, densities (which
+    compare by identity) field by field, the rest by ``==``."""
     assert type(copied) is type(original)
     for f in dataclasses.fields(original):
         a, b = getattr(original, f.name), getattr(copied, f.name)
         if isinstance(a, np.ndarray):
             assert not b.flags.writeable and b.dtype == a.dtype
             np.testing.assert_array_equal(b.view(np.uint64), a.view(np.uint64))
+        elif isinstance(a, Psd):
+            assert_same_fields(b, a)
         else:
             assert b == a
 
@@ -146,6 +158,29 @@ def test_unpickled_densities_share_one_grid():
     assert held <= 7 * 2**20
 
 
+def held_by(build):
+    """What ``build()`` returns, and the bytes it still holds under tracemalloc."""
+    tracemalloc.start()
+    try:
+        value = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held
+
+
+def test_a_long_path_and_its_copies_hold_no_points():
+    grid = make_grid(64)
+    f0, f1 = psd_constant(grid, 1.0), psd_constant(grid, 2.0)
+    path, held = held_by(lambda: geodesic_path(f0, f1, 10**6))
+    # a tau array alone would take 10**6 * 8 bytes, one point 512 bytes
+    assert held < 64 * 1024
+    for route in ("deepcopy", "pickle"):
+        copied, held = held_by(lambda: COPIES[route](path))
+        assert held < 64 * 1024
+        assert len(copied) == 10**6
+
+
 # Each value type stores what it is given, once; what it can derive it derives.
 INIT_FIELDS = {
     "FrequencyGrid": ("n",),
@@ -153,7 +188,7 @@ INIT_FIELDS = {
     "TimeSeries": ("samples", "label"),
     "Autocovariance": ("lags",),
     "PredictorCoeffs": ("coeffs", "attained_variance"),
-    "GeodesicPath": ("taus", "points"),
+    "GeodesicPath": ("f0", "f1", "m"),
     "DistanceMatrix": ("labels", "entries"),
 }
 
