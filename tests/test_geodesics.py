@@ -205,6 +205,47 @@ class TestStreamedPath:
 class TestPathValue:
     """A GeodesicPath is its endpoints and its count, copies included."""
 
+    def test_taus_are_built_once_and_as_before(self, grid64, point_calls):
+        m = 10**6
+        f0, f1 = psd_constant(grid64, 1.0), psd_constant(grid64, 2.0)
+        tracemalloc.start()
+        try:
+            path = geodesic_path(f0, f1, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a tau array alone would take m * 8 bytes, one point 512 bytes
+        assert peak < 64 * 1024
+        ks = [0, 1, 2, 333_333, 500_000, m - 2, m - 1]
+        for k in ks:
+            path[k]
+        # point k sits at the tau the old np.arange(m) / (m - 1) held, bit for bit
+        expected = np.arange(m) / (m - 1)
+        assert np.array(point_calls).tobytes() == expected[ks].tobytes()
+
+    def test_a_path_holds_one_tau_array(self, pair):
+        # the taus are k / (m - 1), derived from m: no array is stored
+        path = geodesic_path(*pair, 5)
+        assert arrays_held(path) == []
+        assert path.m == 5
+
+    @pytest.mark.parametrize(
+        "route", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_of_a_long_path_holds_its_taus_once(self, grid64, route):
+        m = 10**6
+        path = geodesic_path(psd_constant(grid64, 1.0), psd_constant(grid64, 2.0), m)
+        tracemalloc.start()
+        try:
+            copied = route(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a tau array alone would take m * 8 bytes; each copy held 7.6 MB when it had one
+        assert held < 64 * 1024
+        assert copied.m == m and len(copied) == m
+        assert arrays_held(copied) == []
+
     @pytest.mark.parametrize(
         "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
         ids=["copy", "deepcopy", "pickle"],

@@ -158,29 +158,6 @@ def test_unpickled_densities_share_one_grid():
     assert held <= 7 * 2**20
 
 
-def held_by(build):
-    """What ``build()`` returns, and the bytes it still holds under tracemalloc."""
-    tracemalloc.start()
-    try:
-        value = build()
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return value, held
-
-
-def test_a_long_path_and_its_copies_hold_no_points():
-    grid = make_grid(64)
-    f0, f1 = psd_constant(grid, 1.0), psd_constant(grid, 2.0)
-    path, held = held_by(lambda: geodesic_path(f0, f1, 10**6))
-    # a tau array alone would take 10**6 * 8 bytes, one point 512 bytes
-    assert held < 64 * 1024
-    for route in ("deepcopy", "pickle"):
-        copied, held = held_by(lambda: COPIES[route](path))
-        assert held < 64 * 1024
-        assert len(copied) == 10**6
-
-
 # Each value type stores what it is given, once; what it can derive it derives.
 INIT_FIELDS = {
     "FrequencyGrid": ("n",),
