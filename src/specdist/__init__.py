@@ -21,9 +21,7 @@ cli          the ``specdist`` command
 
 from .divergences import (
     DistanceMatrix,
-    SpectrumClass,
     build_distance_matrix,
-    classify,
     divergence_ag,
     divergence_rs,
     divergence_sym,
@@ -90,13 +88,11 @@ __all__ = [
     "PredictorCoeffs",
     "Psd",
     "SpectralError",
-    "SpectrumClass",
     "TimeSeries",
     "UnstableModelError",
     "arithmetic_mean",
     "autocov_from_psd",
     "build_distance_matrix",
-    "classify",
     "degraded_variance",
     "divergence_ag",
     "divergence_rs",

@@ -135,7 +135,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_classify(args) -> int:
     psd = _parse_psd_arg(args.f1, args.grid)
-    print(divergences.classify(psd).value)
+    # Only the empty-or-not zero set is reported: a finite grid cannot grade
+    # how integrable the log of the density would be in the limit.
+    print("HasZeros" if psd.zero_set else "StrictlyPositive")
     return 0
 
 

@@ -19,7 +19,6 @@ and ``inf > x`` for every finite ``x``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,8 +30,6 @@ from .spectra import Psd, _log_power_mean, _masked_log, _require_same_grid
 from .spectra import arithmetic_mean, log_ratio
 
 __all__ = [
-    "SpectrumClass",
-    "classify",
     "geodesic_distance",
     "DistanceMatrix",
     "build_distance_matrix",
@@ -54,24 +51,6 @@ _FISHER_NORM_TOL = 1e-9
 # smallest keeps the least memory.  Each row is reduced alone, so the block
 # size changes no bit of any entry.
 _PAIR_BLOCK = 8
-
-
-class SpectrumClass(enum.Enum):
-    """Grid-decidable dichotomy of densities.
-
-    STRICTLY_POSITIVE means every log-based functional against another
-    strictly positive density on the same grid stays finite.  A finite grid
-    cannot grade *how* integrable the log would be in the limit, so no finer
-    classification is offered.
-    """
-
-    STRICTLY_POSITIVE = "StrictlyPositive"
-    HAS_ZEROS = "HasZeros"
-
-
-def classify(f: Psd) -> SpectrumClass:
-    """STRICTLY_POSITIVE iff the density has an empty zero set."""
-    return SpectrumClass.STRICTLY_POSITIVE if f.strictly_positive else SpectrumClass.HAS_ZEROS
 
 
 def geodesic_distance(f1: Psd, f2: Psd) -> float:

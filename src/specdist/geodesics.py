@@ -9,7 +9,7 @@ metric is intrinsic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -67,15 +67,17 @@ def geodesic_point(f0: Psd, f1: Psd, tau: float) -> Psd:
 
 
 @dataclass(frozen=True, eq=False)
-class GeodesicPath(_Value, Sequence):
+class GeodesicPath(_Value):
     """The geodesic from ``f0`` to ``f1`` sampled at the ``m`` uniform
-    parameters tau_k = k/(m-1), as a read-only sequence of densities.
+    parameters tau_k = k/(m-1), indexable and iterable.
 
     Item ``k`` of ``range(m)`` is ``geodesic_point(f0, f1, k / (m - 1))``,
     computed on each access and not kept, so a walk along the path holds one
-    point at a time; a slice gives a tuple.  Construction checks the count (an
-    integer m >= 2) and the endpoints (the same grid, the same zero sets) and
-    computes no point.
+    point at a time; a slice gives a tuple.  Each access builds a new density,
+    and densities compare by identity, so ``in`` is refused (``TypeError``)
+    rather than finding only the endpoints, and a path has no ``index`` or
+    ``count``.  Construction checks the count (an integer m >= 2) and the
+    endpoints (the same grid, the same zero sets) and computes no point.
     """
 
     f0: Psd
@@ -95,6 +97,11 @@ class GeodesicPath(_Value, Sequence):
         if isinstance(k, range):
             return tuple(self[j] for j in k)
         return geodesic_point(self.f0, self.f1, k / (self.m - 1))
+
+    def __iter__(self):
+        return (self[k] for k in range(self.m))
+
+    __contains__ = None
 
 
 def geodesic_path(f0: Psd, f1: Psd, m: int) -> GeodesicPath:

@@ -58,10 +58,6 @@ class Psd(_Value):
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "zero_set", frozenset(np.flatnonzero(v == 0.0).tolist()))
 
-    @property
-    def strictly_positive(self) -> bool:
-        return not self.zero_set
-
 
 def psd_from_samples(grid: FrequencyGrid, values) -> Psd:
     """Validate a sample vector as a read-only density on ``grid``.
@@ -156,15 +152,18 @@ def _masked_log(v: np.ndarray) -> np.ndarray:
 
 def _log_power_mean(logs: np.ndarray, r: float) -> float:
     """log of the power mean (mean(x^r))^(1/r) of x = exp(logs), or mean(logs)
-    for r = 0.  The largest r*log x is factored out, so no x^r is formed and x
-    may lie far outside the double range; -inf logs (zeros) need r > 0.  The
-    mean is taken of x^r / max(x^r) - 1, by expm1, and logged by log1p, so a
+    for r = 0.  The extreme log (the largest for r > 0, the smallest for r < 0)
+    is factored out, so no x^r is formed, x may lie far outside the double
+    range, and r may be any finite order; -inf logs (zeros) need r > 0.  The
+    mean is taken of (x / extreme)^r - 1, by expm1, and logged by log1p, so a
     nearly constant x keeps its digits."""
     if r == 0.0:
         return float(np.mean(logs))
-    scaled = r * logs
-    peak = scaled.max()
-    return float((peak + np.log1p(np.mean(np.expm1(scaled - peak)))) / r)
+    top = logs.max() if r > 0.0 else logs.min()
+    # At extreme |r| the product overflows to -inf, and expm1(-inf) = -1.
+    with np.errstate(over="ignore"):
+        scaled = r * (logs - top)
+    return float(top + np.log1p(np.mean(np.expm1(scaled))) / r)
 
 
 def generalized_mean(f: Psd, r: float) -> float:

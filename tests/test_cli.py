@@ -86,6 +86,16 @@ class TestDist:
         )
         assert (code, out) == (0, "1.40029238836\n")
 
+    def test_extreme_power_mean_order_stays_finite(self, capsys):
+        # r * log(ratio) overflows at r = 1e308; the value is the r = 1e300 one
+        code, out, err = run(
+            capsys, "dist", "--metric", "rs", "--r", 1e308, "--s", 1, "expcos:3", "const:1"
+        )
+        assert (code, out, err) == (0, "1.41469237819\n", "")
+        assert run(
+            capsys, "dist", "--metric", "rs", "--r", 1e300, "--s", 1, "expcos:3", "const:1"
+        )[1] == out
+
     def test_equal_orders_are_usage_error(self, capsys, fixtures):
         code, _, err = run(
             capsys,
@@ -321,12 +331,16 @@ class TestEstimateAndClassify:
         np.testing.assert_allclose(read_psd_csv(out).values, 0.25, rtol=1e-12)
 
     def test_classify(self, capsys, fixtures, tmp_path, grid64):
-        code, out, _ = run(capsys, "classify", fixtures["ar05"])
-        assert (code, out) == (0, "StrictlyPositive\n")
         zeroed = tmp_path / "zeroed.csv"
         write_psd_csv(psd_with_zero_at(grid64, 0), zeroed)
-        code, out, _ = run(capsys, "classify", zeroed)
-        assert (code, out) == (0, "HasZeros\n")
+        for spec, word in (
+            (fixtures["ar05"], "StrictlyPositive"),
+            ("const:1", "StrictlyPositive"),
+            ("ar:0.9,-0.3:0.5", "StrictlyPositive"),
+            (zeroed, "HasZeros"),
+        ):
+            code, out, _ = run(capsys, "classify", spec)
+            assert (code, out) == (0, word + "\n")
 
 
 class TestRho:

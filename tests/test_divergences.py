@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from specdist import (
-    SpectrumClass,
-    classify,
     divergence_ag,
     divergence_rs,
     divergence_sym,
@@ -352,6 +350,14 @@ class TestLogDomain:
         expected = log_bessel_i0(900.0) / 300.0 - log_bessel_i0(3.0)
         assert divergence_rs(f1, f2, 300.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
+    def test_extreme_order_gap_is_finite(self, grid4096):
+        # r * log(ratio) overflows at r = 1e308; the gap is its r = 1e300 value
+        f1 = psd_from_samples(grid4096, np.exp(3.0 * np.cos(grid4096.nodes)))
+        f2 = psd_constant(grid4096, 1.0)
+        extreme = divergence_rs(f1, f2, 1e308, 1.0)
+        assert math.isfinite(extreme)
+        assert extreme == pytest.approx(divergence_rs(f1, f2, 1e300, 1.0), rel=1e-12)
+
     def test_extreme_scalings_are_blind(self, expcos):
         f1 = scaled(expcos, 1e200)
         f2 = scaled(expcos, 1e-200)
@@ -541,19 +547,3 @@ class TestQuadraticExpansions:
                 lambda f, fp, e: 2.0 * divergence_rs(f, fp, r, s) / ((r - s) * e**2),
             )
         )
-
-
-class TestClassify:
-    def test_flat(self, flat_one):
-        assert classify(flat_one) is SpectrumClass.STRICTLY_POSITIVE
-
-    def test_with_zero(self, grid64):
-        assert classify(psd_with_zero_at(grid64, 0)) is SpectrumClass.HAS_ZEROS
-
-    def test_ar_spectra_are_positive(self, grid1024):
-        f = psd_from_ar([0.9, -0.3], 0.5, grid1024)
-        assert classify(f) is SpectrumClass.STRICTLY_POSITIVE
-
-    def test_names(self):
-        assert SpectrumClass.STRICTLY_POSITIVE.value == "StrictlyPositive"
-        assert SpectrumClass.HAS_ZEROS.value == "HasZeros"

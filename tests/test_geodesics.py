@@ -176,6 +176,26 @@ class TestStreamedPath:
         with pytest.raises(AttributeError):
             points.f0 = pair[1]
 
+    def test_membership_is_refused(self, pair):
+        # each access builds a new density, and densities compare by identity,
+        # so a search would find only the endpoints
+        path = geodesic_path(*pair, 5)
+        with pytest.raises(TypeError):
+            path[2] in path
+        assert not hasattr(path, "index")
+        assert not hasattr(path, "count")
+
+    @pytest.mark.parametrize("m", [2, 3, 11])
+    def test_iterating_computes_each_point_once(self, pair, point_calls, m):
+        points = list(geodesic_path(*pair, m))
+        assert len(points) == m
+        assert point_calls == [k / (m - 1) for k in range(m)]
+
+    def test_reversed_gives_the_points_in_reverse(self, pair):
+        path = geodesic_path(*pair, 6)
+        forward = [point.values.tobytes() for point in path]
+        assert [point.values.tobytes() for point in reversed(path)] == forward[::-1]
+
     @pytest.mark.parametrize("m", [2, 3, 11])
     def test_path_length_computes_each_point_once(self, pair, point_calls, m):
         path_length(geodesic_path(*pair, m))

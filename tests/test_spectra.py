@@ -25,12 +25,10 @@ class TestConstruction:
     def test_constant_has_empty_zero_set(self, grid64):
         f = psd_from_samples(grid64, np.ones(64))
         assert f.zero_set == frozenset()
-        assert f.strictly_positive
 
     def test_exact_zero_is_recorded(self, grid64):
         f = psd_with_zero_at(grid64, 13)
         assert f.zero_set == frozenset({13})
-        assert not f.strictly_positive
 
     def test_negative_sample_is_rejected_with_index(self, grid64):
         values = np.ones(64)
@@ -183,6 +181,12 @@ class TestMeans:
         f = psd_from_samples(grid4096, np.exp(3.0 * np.cos(grid4096.nodes)))
         expected = np.exp(log_bessel_i0(1200.0) / 400.0)
         assert generalized_mean(f, 400.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_extreme_orders_give_the_maximum_and_the_minimum(self, grid4096):
+        # r * log f overflows at |r| = 1e308; the mean tends to max f and min f
+        f = psd_from_samples(grid4096, np.exp(3.0 * np.cos(grid4096.nodes)))
+        assert generalized_mean(f, 1e308) == pytest.approx(f.values.max(), rel=1e-15, abs=0.0)
+        assert generalized_mean(f, -1e308) == pytest.approx(f.values.min(), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("r", [-3.0, -0.5, 0.5, 1.0, 2.0, 7.0])
     def test_matches_the_power_domain_formula(self, grid1024, r):

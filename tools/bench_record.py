@@ -66,7 +66,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
