@@ -18,6 +18,7 @@ from specdist import (
     riemannian_form,
     scaled_metric_d,
 )
+from specdist.cli import main
 
 from conftest import psd_with_zero_at, random_positive_spectrum
 from oracles import BESSEL_I0_1, BESSEL_I0_2, BESSEL_I1_1, DILOG_QUARTER, log_bessel_i0
@@ -547,3 +548,26 @@ class TestQuadraticExpansions:
                 lambda f, fp, e: 2.0 * divergence_rs(f, fp, r, s) / ((r - s) * e**2),
             )
         )
+
+
+class TestClassify:
+    """The zero-set dichotomy that ``specdist classify`` reports."""
+
+    def test_flat(self, flat_one):
+        assert flat_one.zero_set == frozenset()
+
+    def test_with_zero(self, grid64):
+        assert psd_with_zero_at(grid64, 0).zero_set == frozenset({0})
+
+    def test_ar_spectra_are_positive(self, grid1024):
+        f = psd_from_ar([0.9, -0.3], 0.5, grid1024)
+        assert f.zero_set == frozenset()
+
+    def test_names(self, capsys, tmp_path):
+        zeroed = tmp_path / "zeroed.csv"
+        zeroed.write_text(f"theta,psd\n{-math.pi!r},0\n0,1\n")
+        words = []
+        for spec in ("const:1", zeroed):
+            assert main(["classify", str(spec)]) == 0
+            words.append(capsys.readouterr().out)
+        assert words == ["StrictlyPositive\n", "HasZeros\n"]
