@@ -39,7 +39,7 @@ from .io import (
     write_distance_matrix_csv,
     write_psd_csv,
 )
-from .spectra import Psd, psd_constant, psd_from_ar, psd_from_samples
+from .spectra import Psd, _density_in_range, psd_constant, psd_from_ar
 
 DEFAULT_GRID = 4096
 
@@ -57,7 +57,9 @@ def _parse_psd_arg(text: str, grid_n: int) -> Psd:
             if kind == "const":
                 return psd_constant(grid, float(rest))
             if kind == "expcos":
-                return psd_from_samples(grid, np.exp(float(rest) * np.cos(grid.nodes)))
+                with np.errstate(over="ignore"):
+                    values = np.exp(float(rest) * np.cos(grid.nodes))
+                return _density_in_range(grid, values)
             coeff_text, sep2, sigma_text = rest.partition(":")
             if not sep2:
                 raise UsageError(

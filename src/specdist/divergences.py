@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import _centered_mean_square, _sealed, _Value, _vector, central_variance
+from .grid import _centered_mean_square, _scaled_mean, _sealed, _Value, _vector, central_variance
 from .spectra import Psd, _log_power_mean, _masked_log, _require_same_grid
 from .spectra import arithmetic_mean, log_ratio
 
@@ -240,24 +240,14 @@ def riemannian_form(f: Psd, delta) -> float:
     shared by divergence_ag, divergence_sym and (rescaled) divergence_rs.
 
     Degenerate exactly along the scaling direction ``delta = c*f``; that is
-    the infinitesimal face of the metric's scale-blindness.  Where delta/f or
-    its squares pass the double range, the form is taken of delta/f scaled by
-    an exact power of two; a form past that range raises ``OverflowError``.
+    the infinitesimal face of the metric's scale-blindness.  Terms past the
+    double range are rescaled by a power of two; a form past it raises
+    ``OverflowError``.
     """
     d = _check_delta(f, delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        form = float(_centered_mean_square(d / f.values))
-    if math.isfinite(form):
-        return form
-    # |delta/f| < 2**top; scaled below 2**480, its centered squares and their
-    # sum stay finite.
-    top = int(np.max(np.frexp(d)[1] - np.frexp(f.values)[1])) + 1
-    shift = top - 480
-    scaled = np.ldexp(d, -shift) / f.values
-    try:
-        return math.ldexp(float(_centered_mean_square(scaled)), 2 * shift)
-    except OverflowError:
-        raise OverflowError("the Riemannian form exceeds the double range") from None
+    bound = lambda: 2 * (np.frexp(d)[1] - np.frexp(f.values)[1] + 1)  # |delta/f| < 2**(bound/2)
+    form = lambda x: _centered_mean_square(x / f.values)
+    return _scaled_mean(form, d, 2, bound, "the Riemannian form")
 
 
 def fisher_form(f: Psd, delta) -> float:
@@ -266,9 +256,8 @@ def fisher_form(f: Psd, delta) -> float:
     Requires mean(f) = 1 and mean(delta) = 0 (both within 1e-9): ``f`` and
     ``f + delta`` must integrate to one.  Note the power of ``f`` differs
     from :func:`riemannian_form`; the two coincide on ``f = 1`` with
-    zero-mean ``delta`` and disagree in general.  Where delta^2/f or its sum
-    passes the double range, the mean is taken of the terms for delta scaled
-    by an exact power of two; a form past that range raises ``OverflowError``.
+    zero-mean ``delta`` and disagree in general.  Terms past the double range
+    are rescaled by a power of two; a form past it raises ``OverflowError``.
     """
     d = _check_delta(f, delta)
     f_mean = float(np.mean(f.values))
@@ -282,17 +271,7 @@ def fisher_form(f: Psd, delta) -> float:
             f"perturbation is not mass-preserving: mean(delta) = {d_mean!r}, "
             f"must be 0 within {_FISHER_NORM_TOL}"
         )
-    with np.errstate(over="ignore"):
-        form = float(np.mean(d * d / f.values))
-    if math.isfinite(form):
-        return form
-    # delta^2/f < 2**top.  With delta scaled by 2**-shift each term stays
-    # below 2**960, so their sum stays finite; the quotient is taken first
-    # because a delta scaled up can pass the range when squared.
-    top = int(np.max(2 * np.frexp(d)[1] - np.frexp(f.values)[1])) + 1
-    shift = (top - 959) // 2
-    scaled = np.ldexp(d, -shift)
-    try:
-        return math.ldexp(float(np.mean(scaled * (scaled / f.values))), 2 * shift)
-    except OverflowError:
-        raise OverflowError("the Fisher form exceeds the double range") from None
+    # On the rescue delta is scaled down, and f <= n since mean(f) = 1, so
+    # no delta^2 passes the range before the quotient brings it below 2**960.
+    bound = lambda: 2 * np.frexp(d)[1] - np.frexp(f.values)[1] + 1
+    return _scaled_mean(lambda x: np.mean(x * x / f.values), d, 2, bound, "the Fisher form")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .grid import FrequencyGrid, _count, _half_power, _mirror, _Value, _vector
-from .spectra import Psd, psd_from_samples
+from .spectra import Psd, _density_in_range
 
 __all__ = ["TimeSeries", "periodogram", "welch", "WINDOWS"]
 
@@ -32,10 +32,9 @@ _SEGMENT_BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries(_Value):
-    """A finite real signal (read-only, at least two samples) with an optional label."""
+    """A finite real signal (read-only, at least two samples)."""
 
     samples: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _vector(self.samples, "samples", at_least=2))
@@ -120,11 +119,13 @@ def _segment_average(
     energy = float(w @ w)
     frames = np.lib.stride_tricks.sliding_window_view(ts.samples, segment)[::hop]
     accum = np.zeros(grid.n // 2 + 1)
-    for first in range(0, len(frames), _SEGMENT_BLOCK):
-        block = frames[first : first + _SEGMENT_BLOCK]
-        accum += _half_power(block * w, grid.n).sum(axis=0)
-    values = _mirror(accum, grid.n) / (len(frames) * energy)
+    # an overflow gives inf samples, or nan ones past inf - inf in a transform
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, len(frames), _SEGMENT_BLOCK):
+            block = frames[first : first + _SEGMENT_BLOCK]
+            accum += _half_power(block * w, grid.n).sum(axis=0)
+        values = _mirror(accum, grid.n) / (len(frames) * energy)
     try:
-        return psd_from_samples(grid, values)
+        return _density_in_range(grid, values)
     except ValueError as exc:
         raise EstimationError(f"{name} is not a valid density: {exc}") from exc

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FrequencyGrid", "make_grid", "mean", "central_variance"]
+__all__ = ["FrequencyGrid", "make_grid", "central_variance"]
 
 
 class _Value:
@@ -34,8 +35,8 @@ class _Value:
 class FrequencyGrid(_Value):
     """Uniform angles theta_k = -pi + 2*pi*k/n for k = 0..n-1, weight 1/n each.
 
-    The weights sum to one, so summing samples*weight approximates the
-    normalized integral over [-pi, pi).  ``FrequencyGrid(n)`` derives its
+    The weights sum to one, so the plain average of the samples approximates
+    the normalized integral over [-pi, pi).  ``FrequencyGrid(n)`` derives its
     read-only ``nodes`` from ``n``, which it stores as an ``int``, and grids
     compare equal iff they have the same node count.  A copy or an unpickled
     grid is ``make_grid(n)``.
@@ -54,10 +55,6 @@ class FrequencyGrid(_Value):
         # A copy or an unpickled grid is the shared one, so no copy builds
         # its own ``nodes``.
         return make_grid, (self.n,)
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.n
 
     @property
     def spacing(self) -> float:
@@ -129,14 +126,6 @@ def _sealed(x) -> bool:
     )
 
 
-def mean(grid: FrequencyGrid, samples) -> float:
-    """Quadrature for the normalized integral of ``samples`` over the grid.
-
-    Equals the arithmetic average (1/n) * sum(samples).
-    """
-    return float(np.mean(_vector(samples, "samples", grid.n)))
-
-
 def central_variance(grid: FrequencyGrid, samples) -> float:
     """mean(samples^2) - mean(samples)^2, evaluated in centered form.
 
@@ -145,9 +134,12 @@ def central_variance(grid: FrequencyGrid, samples) -> float:
     because near-constant sample vectors (proportional densities) must come
     out at variance ~0 rather than at the subtraction's rounding residue.
     The centered form is a mean of squares, so the result is nonnegative by
-    construction.
+    construction.  Squares past the double range are rescaled by a power of
+    two; a variance past it raises ``OverflowError``.
     """
-    return float(_centered_mean_square(np.array(_vector(samples, "samples", grid.n))))
+    v = _vector(samples, "samples", grid.n)
+    bound = lambda: 2 * np.frexp(v)[1] + 2  # |v - mean(v)| < 2 * 2**frexp(v)[1]
+    return _scaled_mean(lambda x: _centered_mean_square(np.array(x)), v, 2, bound, "the variance")
 
 
 def _centered_mean_square(d: np.ndarray) -> np.ndarray:
@@ -159,6 +151,23 @@ def _centered_mean_square(d: np.ndarray) -> np.ndarray:
     d -= d.mean(axis=-1, keepdims=True)
     d *= d
     return d.mean(axis=-1)
+
+
+def _scaled_mean(mean, x: np.ndarray, degree: int, bound, what: str) -> float:
+    """``mean(x)`` for a ``mean`` homogeneous of degree 1 or 2 that leaves ``x``
+    as is.  Only if that is not finite, ``x`` is scaled by the power of two that
+    moves the terms' base-2 exponents (bounded by the largest of ``bound()``, up
+    to the 2 that centering adds) below 960, and the mean is scaled back; one
+    past the double range raises ``OverflowError`` naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(mean(x))
+    if math.isfinite(value):
+        return value
+    shift = -((960 - int(np.max(bound()))) // degree)
+    try:
+        return math.ldexp(float(mean(np.ldexp(x, -shift))), degree * shift)
+    except OverflowError:
+        raise OverflowError(f"{what} exceeds the double range") from None
 
 
 def _transform_power(x: np.ndarray, n: int) -> np.ndarray:

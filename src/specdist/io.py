@@ -34,7 +34,6 @@ import functools
 import math
 import os
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,31 +213,35 @@ def _read_rows(path, layouts: dict) -> tuple[np.ndarray, list[int]]:
     """
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        columns = None if header is None else layouts.get(tuple(c.strip() for c in header))
-        if columns is None:
-            expected = " or ".join(repr(",".join(h)) for h in layouts)
-            raise CsvParseError(f"{path}: line 1: expected header {expected}, got {header!r}")
-        for row in reader:
-            lineno = reader.line_num  # the row's last line, past quoted newlines
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(row[c]) for c in columns]
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric field in {row!r}"
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise CsvParseError(f"{path}: line {lineno}: non-finite field")
-            rows.append(values)
-            lines.append(lineno)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            columns = None if header is None else layouts.get(tuple(c.strip() for c in header))
+            if columns is None:
+                expected = " or ".join(repr(",".join(h)) for h in layouts)
+                raise CsvParseError(f"{path}: line 1: expected header {expected}, got {header!r}")
+            for row in reader:
+                lineno = reader.line_num  # the row's last line, past quoted newlines
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    values = [float(row[c]) for c in columns]
+                except ValueError:
+                    raise CsvParseError(
+                        f"{path}: line {lineno}: non-numeric field in {row!r}"
+                    ) from None
+                if not all(map(math.isfinite, values)):
+                    raise CsvParseError(f"{path}: line {lineno}: non-finite field")
+                rows.append(values)
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        # no line number: the text layer decodes ahead of the csv reader
+        raise CsvParseError(f"{path}: {exc}") from None
     table = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
     return table, lines
 
@@ -299,7 +302,7 @@ def read_timeseries_csv(path) -> TimeSeries:
         table, _ = _read_rows(path, _SERIES_LAYOUTS)
     table.setflags(write=False)
     try:
-        return TimeSeries(samples=table[:, 0], label=Path(os.fsdecode(path)).stem)
+        return TimeSeries(samples=table[:, 0])
     except ValueError as exc:
         raise CsvParseError(f"{path}: {exc}") from exc
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .grid import _count, _mirrored_pairs, _transform_power, _Value, _vector
+from .grid import _count, _mirrored_pairs, _scaled_mean, _transform_power, _Value, _vector
 from .spectra import Psd, geometric_mean
 
 __all__ = [
@@ -157,7 +157,8 @@ def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:
     """Error variance of running predictor ``pred`` on a process with
     density ``f``: mean(|1 - sum_l coeffs[l-1] e^{-i l theta}|^2 * f).
 
-    The grid must resolve that filter: n > 2 * order.
+    The grid must resolve that filter: n > 2 * order.  Terms past the double
+    range are rescaled by a power of two; a variance past it raises ``OverflowError``.
     """
     if f.grid.n <= 2 * pred.order:
         raise ValueError(
@@ -166,7 +167,8 @@ def degraded_variance(f: Psd, pred: PredictorCoeffs) -> float:
         )
     error_filter = np.concatenate(([1.0], -pred.coeffs))
     gain = _transform_power(error_filter, f.grid.n)
-    return float(np.mean(gain * f.values))
+    bound = lambda: np.frexp(gain)[1] + np.frexp(f.values)[1]
+    return _scaled_mean(lambda v: np.mean(gain * v), f.values, 1, bound, "the degraded variance")
 
 
 def rho_empirical(f1: Psd, f2: Psd, p: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotNormalizableError, UnstableModelError
-from .grid import FrequencyGrid, _transform_power, _Value, _vector
+from .grid import FrequencyGrid, _scaled_mean, _transform_power, _Value, _vector
 
 __all__ = [
     "Psd",
@@ -107,14 +107,23 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
         reflection coefficient of modulus >= 1), so that no stationary
         process has this spectrum.
     ValueError
-        If ``sigma2 <= 0``.
+        If ``sigma2 <= 0``, or if the density exceeds the double range.
     """
     a = _vector(np.atleast_1d(a), "a")
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
     _require_stable(a)
     power = _transform_power(np.concatenate(([1.0], -a)), grid.n)
-    return psd_from_samples(grid, sigma2 / power)
+    with np.errstate(over="ignore"):
+        values = sigma2 / power
+    return _density_in_range(grid, values)
+
+
+def _density_in_range(grid: FrequencyGrid, values: np.ndarray) -> Psd:
+    """``psd_from_samples``, refusing an infinite (overflowed) sample."""
+    if np.isinf(values).any():
+        raise ValueError("the density exceeds the double range")
+    return psd_from_samples(grid, values)
 
 
 def _require_same_grid(f1: Psd, f2: Psd) -> None:
@@ -217,12 +226,6 @@ def normalize_to_ray(f: Psd) -> Psd:
 def arithmetic_mean(f: Psd) -> float:
     """mean(f) over the grid measure (total power).
 
-    Finite for every density: a sum past the double range is redone on the
-    samples scaled by their largest, which bounds the mean.
+    Finite for every density: a sum past the double range is rescaled by a power of two.
     """
-    with np.errstate(over="ignore"):
-        total = np.mean(f.values)
-    if np.isinf(total):
-        peak = f.values.max()
-        total = peak * np.mean(f.values / peak)
-    return float(total)
+    return _scaled_mean(np.mean, f.values, 1, lambda: np.frexp(f.values)[1], "the arithmetic mean")

@@ -283,6 +283,13 @@ class TestMatrix:
         assert err == f"error: {zero}: the all-zero vector is not a density\n"
         assert not (tmp_path / "m.csv").exists()
 
+    def test_undecodable_file_is_named(self, capsys, tmp_path, fixtures):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"theta,psd\n-3.14,1\n\xff,2\n")
+        code, _, err = run(capsys, "matrix", fixtures["const1"], bad, "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
     def test_jobs_is_not_an_option(self, tmp_path, fixtures):
         with pytest.raises(SystemExit) as exc:
             main(["matrix", str(fixtures["const1"]), "--out", str(tmp_path / "m.csv"), "--jobs", "4"])
@@ -389,6 +396,18 @@ class TestDoubleRange:
         code, out, err = run(capsys, "geodesic", f"const:{big}", f"const:{big}", "--tau", 0.1, "--grid", 8)
         assert code == 0 and err == ""
         assert out.splitlines()[1:] == [f"{t},{big}" for t in ["%.17g" % x for x in make_grid(8).nodes]]
+
+
+    def test_levinson_ratio_is_blind_to_a_scale_past_the_double_range(self, capsys):
+        args = ("ar:-0.9:1", "--oracle", "levinson", "--order", 2, "--grid", 64)
+        unit = run(capsys, "rho", "ar:0.9:1", *args)
+        assert run(capsys, "rho", "ar:0.9:1e306", *args) == unit == (0, "18.0922086138\n", "")
+
+    @pytest.mark.parametrize("spec", ["expcos:800", "ar:0.999:1e308"])
+    def test_inline_density_past_the_double_range_is_a_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "dist", spec, "const:1", "--grid", 64)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: bad analytic spectrum {spec!r}: the density exceeds the double range\n"
 
 
 class TestGridHelp:

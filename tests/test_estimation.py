@@ -20,9 +20,8 @@ from oracles import ar1_path, dense_welch_power, naive_dtft_power
 
 class TestTimeSeries:
     def test_accepts_lists(self):
-        ts = TimeSeries([1.0, 2.0, 3.0], label="demo")
+        ts = TimeSeries([1.0, 2.0, 3.0])
         assert len(ts) == 3
-        assert ts.label == "demo"
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -180,6 +179,17 @@ class TestWelch:
         ts = TimeSeries(np.ones(64))
         with pytest.raises(ValueError, match="window"):
             welch(ts, segment=16, overlap=0.0, window="hamming", grid=make_grid(64))
+
+    @pytest.mark.parametrize(
+        "level,reason",
+        # the squared transforms overflow; at 1.7e308 the transforms do, to inf - inf
+        [(1e200, "the density exceeds the double range"), (1.7e308, r"values\[0\] = nan")],
+        ids=["squares", "transforms"],
+    )
+    def test_estimate_past_the_double_range_fails_estimation(self, level, reason):
+        samples = np.random.default_rng(12).choice([level, -level], 64)
+        with pytest.raises(EstimationError, match=f"^Welch estimate is not a valid density: {reason}"):
+            welch(TimeSeries(samples), 16, 0.5, "hann", make_grid(32))
 
 
 class TestPipeline:

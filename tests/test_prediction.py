@@ -241,6 +241,11 @@ class TestDegradedVariance:
         with pytest.raises(ValueError, match="too coarse"):
             degraded_variance(f, pred)
 
+    def test_variance_past_the_double_range_raises(self, grid64):
+        pred = levinson(autocov_from_psd(psd_from_ar([-0.9], 1.0, grid64), 2), 2)
+        with pytest.raises(OverflowError, match="degraded variance exceeds the double range"):
+            degraded_variance(psd_constant(grid64, 1.7e308), pred)
+
 
 class TestRhoEmpirical:
     def test_matched_first_order_model(self, ar_half):
@@ -285,3 +290,10 @@ class TestRhoEmpirical:
     def test_requires_valid_order(self, ar_half, flat_one):
         with pytest.raises(ValueError, match="order"):
             rho_empirical(ar_half, flat_one, 0)
+
+    def test_blind_to_a_scale_whose_terms_pass_the_double_range(self, grid64):
+        # the degraded variance's terms pass the range at sigma2 = 1e306
+        f2 = psd_from_ar([-0.9], 1.0, grid64)
+        unit = rho_empirical(psd_from_ar([0.9], 1.0, grid64), f2, 2)
+        huge = rho_empirical(psd_from_ar([0.9], 1e306, grid64), f2, 2)
+        assert huge == pytest.approx(unit, rel=1e-12, abs=0.0)

@@ -118,6 +118,11 @@ class TestAutoregressive:
         with pytest.raises(ValueError, match="positive"):
             psd_from_ar([0.5], 0.0, grid64)
 
+    def test_density_past_the_double_range_is_rejected(self, grid64):
+        # 1e308 / (1 - 0.999)^2 at theta = 0
+        with pytest.raises(ValueError, match="^the density exceeds the double range$"):
+            psd_from_ar([0.999], 1e308, grid64)
+
     def test_spectra_are_even_symmetric(self, grid1024):
         f = psd_from_ar([0.4, -0.2, 0.1], 1.0, grid1024)
         mirrored = f.values[(-np.arange(grid1024.n)) % grid1024.n]

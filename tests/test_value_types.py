@@ -98,7 +98,7 @@ def test_a_list_is_stored_as_float64(kind):
 VALUES = {
     "FrequencyGrid": lambda: FrequencyGrid(8),
     "Psd": lambda: Psd(GRID, [1, 0, 2, 3, 4, 5, 6, 7]),
-    "TimeSeries": lambda: TimeSeries(samples=[1.5, -2.0, 3.0], label="x"),
+    "TimeSeries": lambda: TimeSeries(samples=[1.5, -2.0, 3.0]),
     "Autocovariance": lambda: Autocovariance(lags=[2.0, 1.0, -0.5]),
     "PredictorCoeffs": lambda: PredictorCoeffs(coeffs=[0.5, -0.25], attained_variance=1.5),
     "DistanceMatrix": lambda: DistanceMatrix(labels=("a", "b"), entries=[[0, np.inf], [np.inf, 0]]),
@@ -162,7 +162,7 @@ def test_unpickled_densities_share_one_grid():
 INIT_FIELDS = {
     "FrequencyGrid": ("n",),
     "Psd": ("grid", "values"),
-    "TimeSeries": ("samples", "label"),
+    "TimeSeries": ("samples",),
     "Autocovariance": ("lags",),
     "PredictorCoeffs": ("coeffs", "attained_variance"),
     "GeodesicPath": ("f0", "f1", "m"),
