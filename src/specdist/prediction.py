@@ -13,13 +13,14 @@ converge, as the order grows, to ``prediction_ratio``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCovarianceError
 from .grid import _count, _mirrored_pairs, _scaled_mean, _transform_power, _Value, _vector
-from .spectra import Psd, geometric_mean
+from .spectra import Psd, geometric_mean, psd_from_samples
 
 __all__ = [
     "Autocovariance",
@@ -99,7 +100,8 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
     first added to its mirror at -theta_j, and the quadrature runs over the
     n//2 + 1 nodes of [-pi, 0] only: one (max_lag + 1) x (n//2 + 1) cosine
     table, half the cosines of the full grid.  The regrouped sum is the same
-    in exact arithmetic.
+    in exact arithmetic.  Each sample is divided by n before it is added, so
+    every partial sum stays below the largest sample and no lag overflows.
     """
     max_lag = _count(max_lag, "max_lag must be >= 0, got {}", 0)
     if max_lag >= f.grid.n / 2:
@@ -110,11 +112,11 @@ def autocov_from_psd(f: Psd, max_lag: int) -> Autocovariance:
     _check_even_symmetry(f)
     n = f.grid.n
     _, mirrored = _mirrored_pairs(f.values)
-    folded = f.values[: n // 2 + 1].copy()
-    folded[1 : mirrored.size + 1] += mirrored
+    folded = f.values[: n // 2 + 1] / n
+    folded[1 : mirrored.size + 1] += mirrored / n
     table = np.outer(np.arange(max_lag + 1), f.grid.nodes[: n // 2 + 1])
     np.cos(table, out=table)
-    lags = table @ folded / n
+    lags = table @ folded
     return Autocovariance(lags=lags)
 
 
@@ -180,10 +182,20 @@ def rho_empirical(f1: Psd, f2: Psd, p: int) -> float:
     As ``p`` grows this converges to ``prediction_ratio(f1, f2)``; it can
     never drop below 1 beyond rounding, since no mismatched predictor beats
     the optimal one.
+
+    Both variances are taken of ``f1`` scaled down by the power of two that
+    brings its geometric mean below 2, so a ratio within the double range is
+    finite whatever the scale of ``f1``; one past it raises ``OverflowError``.
     """
     p = _count(p, "predictor order must be >= 1, got {}", 1)
     if f1.zero_set or f2.zero_set:
         raise ValueError("prediction comparison needs strictly positive densities")
     _check_even_symmetry(f1)
     pred = levinson(autocov_from_psd(f2, p), p)
-    return degraded_variance(f1, pred) / geometric_mean(f1)
+    gm = geometric_mean(f1)
+    shift = max(math.frexp(gm)[1] - 1, 0)
+    scaled = psd_from_samples(f1.grid, np.ldexp(f1.values, -shift))
+    ratio = degraded_variance(scaled, pred) / math.ldexp(gm, -shift)
+    if math.isinf(ratio):
+        raise OverflowError("the prediction ratio exceeds the double range")
+    return ratio

@@ -120,8 +120,9 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
 
 
 def _density_in_range(grid: FrequencyGrid, values: np.ndarray) -> Psd:
-    """``psd_from_samples``, refusing an infinite (overflowed) sample."""
-    if np.isinf(values).any():
+    """``psd_from_samples``, refusing a non-finite sample: from finite inputs an
+    inf is an overflow, and a nan an inf - inf."""
+    if not np.isfinite(values).all():
         raise ValueError("the density exceeds the double range")
     return psd_from_samples(grid, values)
 

@@ -150,6 +150,18 @@ def dense_cosine_autocov(values: np.ndarray, nodes: np.ndarray, ks: np.ndarray) 
     return np.cos(np.outer(ks, nodes)) @ values / values.size
 
 
+def fold_then_divide_autocov(values: np.ndarray, nodes: np.ndarray, max_lag: int) -> np.ndarray:
+    """c_0..c_max_lag over the nodes of [-pi, 0], each sample added to its
+    mirror, divided by n after the product with the cosine table: the folded
+    quadrature as the library first computed it, overflowing near the top of
+    the double range."""
+    n = values.size
+    folded = values[: n // 2 + 1].copy()
+    folded[1 : (n + 1) // 2] += values[: n // 2 : -1]
+    table = np.cos(np.outer(np.arange(max_lag + 1), nodes[: n // 2 + 1]))
+    return table @ folded / n
+
+
 def cepstral_coordinates(values: np.ndarray) -> np.ndarray:
     """The density's point x(f) in R^{n-1} whose Euclidean distances are the
     geodesic distances.

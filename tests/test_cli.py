@@ -398,10 +398,28 @@ class TestDoubleRange:
         assert out.splitlines()[1:] == [f"{t},{big}" for t in ["%.17g" % x for x in make_grid(8).nodes]]
 
 
+    def test_geodesic_point_near_the_top_keeps_the_larger_endpoint(self, capsys):
+        big = "1.7976931348623157e+308"
+        code, out, err = run(capsys, "geodesic", f"const:{big}", "const:1e200", "--tau", "3e-19", "--grid", 8)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [f"{t},{big}" for t in ["%.17g" % x for x in make_grid(8).nodes]]
+
     def test_levinson_ratio_is_blind_to_a_scale_past_the_double_range(self, capsys):
         args = ("ar:-0.9:1", "--oracle", "levinson", "--order", 2, "--grid", 64)
         unit = run(capsys, "rho", "ar:0.9:1", *args)
         assert run(capsys, "rho", "ar:0.9:1e306", *args) == unit == (0, "18.0922086138\n", "")
+
+    @pytest.mark.parametrize("order", [2, 16])
+    def test_levinson_ratio_is_blind_to_the_scale_of_the_predicted_density(self, capsys, order):
+        args = ("--oracle", "levinson", "--order", order, "--grid", 64)
+        unit = run(capsys, "rho", "ar:-0.9:1", "ar:0.9:1", *args)
+        assert unit[0] == 0
+        assert run(capsys, "rho", "ar:-0.9:1", "ar:0.9:1e306", *args) == unit
+
+    def test_levinson_ratio_whose_degraded_variance_passes_the_double_range(self, capsys):
+        args = ("ar:-0.9:1", "--oracle", "levinson", "--order", 2, "--grid", 64)
+        unit = run(capsys, "rho", "const:1", *args)
+        assert run(capsys, "rho", "const:1.7e308", *args) == unit == (0, "1.80999942435\n", "")
 
     @pytest.mark.parametrize("spec", ["expcos:800", "ar:0.999:1e308"])
     def test_inline_density_past_the_double_range_is_a_usage_error(self, capsys, spec):

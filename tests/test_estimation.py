@@ -183,7 +183,7 @@ class TestWelch:
     @pytest.mark.parametrize(
         "level,reason",
         # the squared transforms overflow; at 1.7e308 the transforms do, to inf - inf
-        [(1e200, "the density exceeds the double range"), (1.7e308, r"values\[0\] = nan")],
+        [(1e200, "the density exceeds the double range"), (1.7e308, "the density exceeds the double range")],
         ids=["squares", "transforms"],
     )
     def test_estimate_past_the_double_range_fails_estimation(self, level, reason):

@@ -82,6 +82,12 @@ class TestGeodesicPoint:
         with pytest.raises(ValueError, match="different grids"):
             geodesic_point(psd_constant(make_grid(8), 1.0), psd_constant(make_grid(16), 1.0), 0.5)
 
+    def test_overflowing_product_keeps_the_larger_endpoint(self):
+        # at tau = 3e-19 the interpolant rounds to DBL_MAX, though 1e200 is far below it
+        top = np.finfo(float).max
+        point = geodesic_point(psd_constant(make_grid(8), top), psd_constant(make_grid(8), 1e200), 3e-19)
+        np.testing.assert_array_equal(point.values, top)
+
 
 class TestGeodesicPath:
     def test_two_point_path_is_the_endpoints(self, pair, point_calls):

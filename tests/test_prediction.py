@@ -26,6 +26,7 @@ from conftest import stable_ar_coeffs
 from oracles import (
     BESSEL_I1_1,
     dense_cosine_autocov,
+    fold_then_divide_autocov,
     naive_toeplitz_predictor,
     reference_mean,
 )
@@ -136,6 +137,20 @@ class TestFoldedQuadrature:
             dense = _dense_lags(f, max_lag)
             folded = autocov_from_psd(f, max_lag).lags
             assert np.all(np.abs(folded - dense) <= 1e-13 * dense[0])
+
+    @pytest.mark.parametrize("p", [16, 64, 256, 512])
+    def test_dividing_by_n_first_keeps_the_bits_at_a_power_of_two(self, grid4096, expcos, p):
+        rng = np.random.default_rng(p)
+        for f in (expcos, psd_from_ar(stable_ar_coeffs(rng, 6), 1.3, grid4096)):
+            reference = fold_then_divide_autocov(f.values, grid4096.nodes, p)
+            np.testing.assert_array_equal(autocov_from_psd(f, p).lags, reference)
+
+    def test_lags_near_the_top_of_the_double_range(self, grid64):
+        unit = autocov_from_psd(psd_from_ar([0.9], 1.0, grid64), 8).lags
+        huge = autocov_from_psd(psd_from_ar([0.9], 1e306, grid64), 8).lags
+        np.testing.assert_allclose(huge, 1e306 * unit, rtol=1e-15, atol=0.0)
+        flat = autocov_from_psd(psd_constant(grid64, 1.7e308), 8).lags
+        assert flat[0] == pytest.approx(1.7e308, rel=1e-15, abs=0.0)
 
     def test_peak_memory_is_one_half_size_table(self, ar_half):
         # the dense route held two (p+1) x n tables, over three times this bound
@@ -297,3 +312,24 @@ class TestRhoEmpirical:
         unit = rho_empirical(psd_from_ar([0.9], 1.0, grid64), f2, 2)
         huge = rho_empirical(psd_from_ar([0.9], 1e306, grid64), f2, 2)
         assert huge == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+    def test_blind_to_a_scale_whose_degraded_variance_passes_the_double_range(self, grid64):
+        f2 = psd_from_ar([-0.9], 1.0, grid64)
+        unit = rho_empirical(psd_constant(grid64, 1.0), f2, 2)
+        assert rho_empirical(psd_constant(grid64, 1.7e308), f2, 2) == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+    def test_a_spike_past_the_ray_representative_stays_finite(self, grid64):
+        # the largest sample passes DBL_MAX times the geometric mean, so the
+        # unit-geometric-mean representative of f1 does not exist
+        values = np.full(64, 1.2e-6)
+        values[32] = 1e308
+        f1, f2 = psd_from_samples(grid64, values), psd_from_ar([-0.5], 1.0, grid64)
+        rho = rho_empirical(f1, f2, 2)
+        assert rho == pytest.approx(prediction_ratio(f1, f2), rel=1e-13)
+
+    def test_ratio_past_the_double_range_raises(self):
+        grid = make_grid(256)
+        f1 = psd_from_samples(grid, 1e-10 * np.exp(705.0 * np.cos(grid.nodes)))
+        f2 = psd_from_samples(grid, np.exp(-20.0 * np.cos(grid.nodes)))
+        with pytest.raises(OverflowError, match="the prediction ratio exceeds the double range"):
+            rho_empirical(f1, f2, 32)
