@@ -6,16 +6,17 @@ below pi.  Values are written with 17 significant digits so a write/read
 round trip is bitwise lossless.  Distance matrices carry their labels in
 the first row and column; infinite entries use the literal ``inf``.
 
-Every PSD file on an n-node grid has the same theta column, so its text
-(``f"{theta:.17g}"`` for each node of ``make_grid(n)``) is built once per n
-and cached, for grids of up to ``_CANONICAL_MAX_N`` nodes.  Writes format
-only the values.  Reads try three parses in turn, and each gives the same
+Every PSD file on an n-node grid has the same theta column, so the text
+of such a file is built once per n from ``make_grid(n).nodes`` and cached,
+for grids of up to ``_CANONICAL_MAX_N`` nodes: writes fill a template of
+the file with the values, and reads compare the theta fields' bytes with
+the grid's.  Reads try three parses in turn, and each gives the same
 values as the next on the files it accepts:
 
-1. the canonical parse, for a file whose header line is exactly
-   ``theta,psd`` and whose rows are exactly ``<theta>,<value>`` with LF
-   line ends and the cached theta text: it converts only the values and
-   takes the thetas from the grid;
+1. the canonical parse, for a file laid out exactly as written (the header
+   line ``theta,psd``, then ``<theta>,<value>`` rows with LF line ends and
+   the grid's theta text): it reads the bytes once, converts only the
+   values and takes the thetas from the grid;
 2. one ``np.loadtxt`` over the whole table, for any file whose header line
    is exact: loadtxt is given the file's absolute name, not an open handle,
    so it reads the file in chunks in C;
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 PSD_HEADER = ("theta", "psd")
+_PSD_HEADER_LINE = (",".join(PSD_HEADER) + "\n").encode()
 
 # Accepted headers, as stripped column names, and the columns read from each.
 _PSD_LAYOUT = {PSD_HEADER: (0, 1)}
@@ -63,10 +65,11 @@ _SERIES_LAYOUTS = {("t", "value"): (1,), ("value",): (0,)}
 # Relative spacing jitter allowed before a frequency column is rejected.
 _SPACING_RTOL = 1e-9
 
-# Grids of up to this many nodes keep their theta column text cached (about
-# 70 bytes a node) and take the canonical parse.  On larger grids the field
-# list costs more than skipping half the conversions saves, and the cached
-# text would hold on to megabytes.
+# Grids of up to this many nodes keep their file text cached and take the
+# canonical parse: a write template of about 26 bytes a node and read-side
+# theta fields of about 60.  On larger grids the field list costs more than
+# skipping half the conversions saves, and the cached text would hold on to
+# megabytes.
 _CANONICAL_MAX_N = 1 << 14
 
 # File name suffixes numpy's datasource opens with a decompressor, so
@@ -84,34 +87,35 @@ def write_psd_csv(psd: Psd, path) -> None:
 
     ``path`` may also be an open text stream (e.g. stdout).
     """
-    if hasattr(path, "write"):
-        _write_psd_rows(psd, path)
-    else:
-        with open(path, "w", newline="") as fh:
-            _write_psd_rows(psd, fh)
-
-
-def _format_thetas(n: int) -> tuple[str, ...]:
-    return tuple(f"{theta:.17g}" for theta in make_grid(n).nodes.tolist())
-
-
-_cached_thetas = functools.lru_cache(maxsize=4)(_format_thetas)
-
-
-def _theta_text(n: int) -> tuple[str, ...]:
-    """The theta fields of every PSD file on the n-node grid, as written;
-    cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
-    return _cached_thetas(n) if n <= _CANONICAL_MAX_N else _format_thetas(n)
-
-
-def _write_psd_rows(psd: Psd, fh) -> None:
     # Numbers never need CSV quoting, so the whole file is one %-format of
-    # the interleaved theta text and values ("%.17g" is what f"{v:.17g}" gives).
-    n = psd.grid.n
-    fields = [None] * (2 * n)
-    fields[0::2] = _theta_text(n)
-    fields[1::2] = psd.values.tolist()
-    fh.write((",".join(PSD_HEADER) + "\n" + "%s,%.17g\n" * n) % tuple(fields))
+    # the values ("%.17g" is what f"{v:.17g}" gives).
+    text = _psd_template(psd.grid.n) % tuple(psd.values.tolist())
+    if hasattr(path, "write"):
+        path.write(text.decode("ascii"))
+    else:
+        with open(path, "wb") as fh:
+            fh.write(text)
+
+
+def _format_template(n: int) -> bytes:
+    return _PSD_HEADER_LINE + b"".join(
+        [b"%.17g,%%.17g\n" % theta for theta in make_grid(n).nodes.tolist()]
+    )
+
+
+_cached_template = functools.lru_cache(maxsize=4)(_format_template)
+
+
+def _psd_template(n: int) -> bytes:
+    """The text of every PSD file on the n-node grid, with ``%.17g`` for
+    each value; cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
+    return _cached_template(n) if n <= _CANONICAL_MAX_N else _format_template(n)
+
+
+@functools.lru_cache(maxsize=4)
+def _theta_fields(n: int) -> tuple[bytes, ...]:
+    """The theta fields of every PSD file on the n-node grid, as written."""
+    return tuple(b"%.17g" % theta for theta in make_grid(n).nodes.tolist())
 
 
 # Every byte but the field and line separators (CR ends a line for the row
@@ -123,34 +127,38 @@ _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n\r"))
 _NOT_COMMA_OR_SEPARATOR = bytes(set(range(256)) - set(b",\x1c\x1d\x1e\x1f"))
 
 
-def _canonical_psd_table(fh) -> np.ndarray | None:
-    """The rest of a text stream positioned after an exact ``theta,psd``
-    header line, when every row is ``<theta>,<value>`` plus LF with the
-    cached theta text and a finite value; otherwise ``None``.
+def _canonical_psd(path) -> Psd | None:
+    """The density in a file laid out as :func:`write_psd_csv` writes one on
+    a grid of up to ``_CANONICAL_MAX_N`` nodes; otherwise ``None``.
 
-    The thetas are the grid's nodes (17 digits round-trip, so parsing the
-    text gives the same bits) and each value is ``float`` of its field,
-    which is what the row parser makes of such a file.
+    Such a file is the line ``theta,psd``, then one ``<theta>,<value>`` row
+    per node with LF line ends and the theta fields written for that grid.
+    Its thetas are the grid's nodes (17 digits round-trip), so only the
+    values are parsed, each as ``float`` of its bytes: that is ``float`` of
+    its text for ASCII, and ``float`` refuses every other byte.  A file whose
+    values ``float`` or :func:`psd_from_samples` refuses is declined too, so
+    the other parses decide it and report its error as they do.
     """
-    # Written rows are at most 48 characters, so a longer body has too many.
-    limit = 64 * _CANONICAL_MAX_N
-    body = fh.read(limit + 1)
-    if len(body) > limit:
+    # Written rows are at most 48 bytes, so a longer file has too many.
+    limit = len(_PSD_HEADER_LINE) + 64 * _CANONICAL_MAX_N
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit or not data.startswith(_PSD_HEADER_LINE):
         return None
-    separators = body.encode().translate(None, _NOT_SEPARATORS)
-    n = len(separators) // 2
-    if not 2 <= n <= _CANONICAL_MAX_N or separators != b",\n" * n:
+    # The header line holds one comma and one LF, so n rows hold n more each.
+    separators = data.translate(None, _NOT_SEPARATORS)
+    n = len(separators) // 2 - 1
+    if not 2 <= n <= _CANONICAL_MAX_N or separators != b",\n" * (n + 1):
         return None
-    fields = body.replace("\n", ",").split(",")
-    if tuple(fields[0:-1:2]) != _theta_text(n):
+    fields = data.replace(b"\n", b",").split(b",")
+    if tuple(fields[2:-1:2]) != _theta_fields(n):
         return None
     try:
-        values = np.fromiter(map(float, fields[1::2]), dtype=float, count=n)
+        values = np.fromiter(map(float, fields[3::2]), dtype=float, count=n)
+        values.setflags(write=False)
+        return psd_from_samples(make_grid(n), values)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
-        return None
-    return np.column_stack((make_grid(n).nodes, values))
 
 
 def _numeric_table(path, layouts: dict) -> np.ndarray | None:
@@ -159,10 +167,11 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
     Returns :func:`_read_rows`'s table when the first line is exactly one of
     the ``layouts`` headers (unpadded, LF-terminated), every row has that
     header's field count, no byte is U+001C-U+001F, every read field is a
-    finite number and, unless the canonical PSD parse takes the file, the
-    name has none of the ``_DECOMPRESSED_SUFFIXES``.  Returns ``None`` for
-    anything else, so the caller's row parser decides: it accepts the same
-    files and is the only code that names a bad line.
+    finite number and the name has none of the ``_DECOMPRESSED_SUFFIXES``.
+    Returns ``None`` for anything else, so the caller's row parser decides:
+    it accepts the same files and is the only code that names a bad line.
+    :func:`read_psd_csv` asks only when the canonical parse declines, which
+    it does for no file written on a grid of up to ``_CANONICAL_MAX_N`` nodes.
     """
     try:
         with open(path, newline="") as fh:
@@ -171,10 +180,6 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
             columns = layouts.get(names) if header.endswith("\n") else None
             if columns is None:
                 return None
-            if names == PSD_HEADER:
-                table = _canonical_psd_table(fh)
-                if table is not None:
-                    return table
         # Given a name, loadtxt reads the file in chunks in C (given a handle,
         # it iterates its lines in Python).  Numpy opens a name through its
         # datasource, which decompresses by suffix and fetches "scheme://netloc"
@@ -261,6 +266,9 @@ def read_psd_csv(path) -> Psd:
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
+    psd = _canonical_psd(path)
+    if psd is not None:
+        return psd
     table = _numeric_table(path, _PSD_LAYOUT)
     if table is None or np.any(table[:, 1] < 0.0):
         table, lines = _read_rows(path, _PSD_LAYOUT)

@@ -19,16 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdist import TimeSeries, estimation, make_grid, psd_from_samples, write_psd_csv
+from specdist import TimeSeries, cli, estimation, make_grid, psd_from_samples, write_psd_csv
 from specdist import io as specdist_io
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load(name):
-    # tracer.py and inputs.py import only the standard library and numpy;
-    # inputs.py's dataclasses look their module up in sys.modules
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", _PERFBENCH / f"{name}.py")
+def _load(name, directory=_PERFBENCH):
+    # tracer.py, inputs.py and bench_compare.py import only the standard
+    # library and numpy; inputs.py's dataclasses look their module up in
+    # sys.modules
+    spec = importlib.util.spec_from_file_location(f"_{directory.name}_{name}", directory / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -78,9 +79,44 @@ def test_benchmark_psd_files_take_the_canonical_parse(tmp_path, n):
     INPUTS.write_psd_csv(path, values)
     with open(path, newline="") as fh:
         assert fh.readline() == "theta,psd\n"
-        table = specdist_io._canonical_psd_table(fh)
-    assert table is not None
-    np.testing.assert_array_equal(table[:, 1].view(np.uint64), values.view(np.uint64))
+    psd = specdist_io._canonical_psd(path)
+    assert psd is not None
+    np.testing.assert_array_equal(psd.values.view(np.uint64), values.view(np.uint64))
+
+
+def test_a_psd_read_builds_its_density_through_the_io_binding_once(tmp_path, monkeypatch):
+    # matrix-k200's traced run needs spectra.psd_from_samples to fire, and
+    # the tracer sees it at specdist.io's binding
+    values = np.random.default_rng(11).exponential(size=64)
+    path = tmp_path / "f.csv"
+    INPUTS.write_psd_csv(path, values)
+    calls = []
+    build = specdist_io.psd_from_samples
+
+    def counted(grid, values):
+        calls.append(grid.n)
+        return build(grid, values)
+
+    monkeypatch.setattr(specdist_io, "psd_from_samples", counted)
+    specdist_io.read_psd_csv(path)
+    assert calls == [64]
+
+
+def test_a_geodesic_path_writes_each_point_through_the_cli_binding(tmp_path, monkeypatch):
+    # path-101's traced run needs io.write_psd_csv to fire once per point,
+    # and the tracer sees it at specdist.cli's binding
+    calls = []
+    write = cli.write_psd_csv
+
+    def counted(psd, path):
+        calls.append(path)
+        write(psd, path)
+
+    monkeypatch.setattr(cli, "write_psd_csv", counted)
+    argv = ["geodesic", "const:1", "expcos:1", "--steps", "5", "--grid", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == sorted(tmp_path.iterdir())
+    assert len(calls) == 5
 
 
 def test_traced_segment_count_is_the_frames_welch_averages(monkeypatch):
@@ -119,3 +155,39 @@ def test_recorded_benchmark_names_every_workload_and_metric(path):
             value = workload["end_to_end"][metric["name"]]
             assert value["unit"] == metric["unit"]
             assert value["q1"] <= value["median"] <= value["q3"]
+
+
+COMPARE = _load("bench_compare", _REPO / "tools")
+
+
+def test_bench_compare_reports_each_metric_and_each_layer_that_ran(capsys):
+    old, new = (json.loads((_REPO / f"BENCH_{c}.json").read_text()) for c in ("526fcc1", "f7f9a25"))
+    lines = COMPARE.compare(old, new, _BENCHMARK)
+    assert lines[0] == "OLD 526fcc1  NEW f7f9a25"
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:] if line}
+    for workload in _BENCHMARK["workloads"]:
+        for metric in _BENCHMARK["end_to_end"]:
+            a = old["workloads"][workload["name"]]["end_to_end"][metric["name"]]
+            b = new["workloads"][workload["name"]]["end_to_end"][metric["name"]]
+            _, _, ratio, overlap = rows[workload["name"], metric["name"]]
+            assert float(ratio) == pytest.approx(b["median"] / a["median"], abs=5e-4)
+            assert overlap == ("yes" if a["q1"] <= b["q3"] and b["q1"] <= a["q3"] else "no")
+    assert rows["path-101", "op_p50_ms"] == ["474.4", "481.1", "1.014", "yes"]
+    assert rows["matrix-k200", "peak_rss_mb"][3] == "no"
+    assert rows["matrix-k200", "io.read_psd_csv.self_ms"] == ["630.21", "448.05", "-182.15"]
+    # a layer that no traced op of the workload reached in either file
+    assert ("matrix-k200", "io.write_psd_csv.self_ms") not in rows
+    assert ("path-101", "io.write_psd_csv.self_ms") in rows
+
+    paths = [str(_REPO / f"BENCH_{c}.json") for c in ("526fcc1", "f7f9a25")]
+    assert COMPARE.main(paths) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_bench_compare_notes_recordings_that_do_not_compare():
+    old, new = (json.loads((_REPO / f"BENCH_{c}.json").read_text()) for c in ("seed", "f7f9a25"))
+    notes = [line for line in COMPARE.compare(old, new, _BENCHMARK) if line.startswith("note:")]
+    assert notes == [
+        "note: machine PYTHONDONTWRITEBYTECODE differs: OLD 'unrecorded', NEW '1'",
+        "note: checkout_path_length differs: OLD None, NEW 57",
+    ]

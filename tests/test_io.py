@@ -118,8 +118,13 @@ class TestPsdRead:
 
 @pytest.mark.parametrize(
     "read,text",
-    [(read_psd_csv, b"theta,psd\n-3.14,1\n\xff,2\n"), (read_timeseries_csv, b"value\n1\n\xff\n")],
-    ids=["psd", "series"],
+    [
+        (read_psd_csv, b"theta,psd\n-3.14,1\n\xff,2\n"),
+        # laid out as written, with a raw byte in a value field
+        (read_psd_csv, b"theta,psd\n-3.1415926535897931,1\n0,\xff\n"),
+        (read_timeseries_csv, b"value\n1\n\xff\n"),
+    ],
+    ids=["psd", "psd_canonical", "series"],
 )
 def test_undecodable_file_is_named(tmp_path, read, text):
     path = tmp_path / "bad.csv"
@@ -258,6 +263,10 @@ PSD_CORPUS = {
     "value_minus_one": _psd_text(["1.5", "-1", "0.25", "3"]),
     "value_leading_space": _psd_text(["1.5", "2", " 1", "3"]),
     "value_form_feed": _psd_text(["1.5\x0c", "\x0b2", "0.25", "3"]),
+    # The canonical parse converts each value's bytes, the others its text:
+    # float takes both spellings of 1_5, and \u0662 only as text.
+    "value_arabic_indic_digit": _psd_text(["1.5", "\u0662", "0.25", "3"]),
+    "value_underscore": _psd_text(["1.5", "1_5", "0.25", "3"]),
     # Where reading with universal newlines (loadtxt given a file name) could
     # differ from reading with newline="" (the row parser).
     "cr": _psd_text(["1.5", "2", "0.25", "3"], end="\r"),
@@ -364,6 +373,7 @@ class TestFastParse:
             warnings.simplefilter("error")
             fast = _outcome(read, path)
         with monkeypatch.context() as m:
+            m.setattr(specdist_io, "_canonical_psd", lambda path: None)
             m.setattr(specdist_io, "_numeric_table", lambda path, headers: None)
             rows = _outcome(read, path)
         if isinstance(rows, Exception):
@@ -422,9 +432,7 @@ class TestFastParse:
         f = random_positive_spectrum(np.random.default_rng(9), grid)
         path = tmp_path / "f.csv"
         write_psd_csv(f, path)
-        with open(path, newline="") as fh:
-            fh.readline()
-            assert specdist_io._canonical_psd_table(fh) is None
+        assert specdist_io._canonical_psd(path) is None
 
         def refuse(*args, **kwargs):
             raise AssertionError("left the loadtxt parse")
