@@ -185,8 +185,13 @@ def divergence_ag(f1: Psd, f2: Psd) -> float:
 
 
 def divergence_sym(f1: Psd, f2: Psd) -> float:
-    """Symmetrized divergence: divergence_ag(f1, f2) + divergence_ag(f2, f1)."""
-    return divergence_ag(f1, f2) + divergence_ag(f2, f1)
+    """divergence_ag(f1, f2) + divergence_ag(f2, f1): the geometric terms cancel,
+    leaving log M_1 - log M_-1, the gap of the power means of orders 1 and -1
+    of the ratio f1/f2.  Exactly symmetric: swapping the arguments negates the
+    log-ratio samples, centering commutes with negation, and the order-1 log
+    mean of -x is minus the order -1 log mean of x to the last bit.
+    """
+    return _ratio_gap(f1, f2, 1.0, -1.0)
 
 
 def divergence_rs(f1: Psd, f2: Psd, r: float, s: float) -> float:

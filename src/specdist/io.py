@@ -6,11 +6,11 @@ below pi.  Values are written with 17 significant digits so a write/read
 round trip is bitwise lossless.  Distance matrices carry their labels in
 the first row and column; infinite entries use the literal ``inf``.
 
-Every PSD file on an n-node grid has the same theta column, so the text
-of such a file is built once per n from ``make_grid(n).nodes`` and cached,
-for grids of up to ``_CANONICAL_MAX_N`` nodes: writes fill a template of
-the file with the values, and reads compare the theta fields' bytes with
-the grid's.  Reads try three parses in turn, and each gives the same
+Every PSD file on an n-node grid has the same theta column, so its theta
+fields and the file template built from them are one cached text per n,
+for grids of up to ``_CANONICAL_MAX_N`` nodes: writes fill the template
+with the values, and reads compare the theta fields' bytes with the
+cached ones.  Reads try three parses in turn, and each gives the same
 values as the next on the files it accepts:
 
 1. the canonical parse, for a file laid out exactly as written (the header
@@ -66,8 +66,8 @@ _SERIES_LAYOUTS = {("t", "value"): (1,), ("value",): (0,)}
 _SPACING_RTOL = 1e-9
 
 # Grids of up to this many nodes keep their file text cached and take the
-# canonical parse: a write template of about 26 bytes a node and read-side
-# theta fields of about 60.  On larger grids the field list costs more than
+# canonical parse: a write template of about 26 bytes a node and theta
+# fields of about 60.  On larger grids the field list costs more than
 # skipping half the conversions saves, and the cached text would hold on to
 # megabytes.
 _CANONICAL_MAX_N = 1 << 14
@@ -89,7 +89,7 @@ def write_psd_csv(psd: Psd, path) -> None:
     """
     # Numbers never need CSV quoting, so the whole file is one %-format of
     # the values ("%.17g" is what f"{v:.17g}" gives).
-    text = _psd_template(psd.grid.n) % tuple(psd.values.tolist())
+    text = _grid_text(psd.grid.n)[1] % tuple(psd.values.tolist())
     if hasattr(path, "write"):
         path.write(text.decode("ascii"))
     else:
@@ -97,25 +97,17 @@ def write_psd_csv(psd: Psd, path) -> None:
             fh.write(text)
 
 
-def _format_template(n: int) -> bytes:
-    return _PSD_HEADER_LINE + b"".join(
-        [b"%.17g,%%.17g\n" % theta for theta in make_grid(n).nodes.tolist()]
-    )
-
-
-_cached_template = functools.lru_cache(maxsize=4)(_format_template)
-
-
-def _psd_template(n: int) -> bytes:
-    """The text of every PSD file on the n-node grid, with ``%.17g`` for
-    each value; cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
-    return _cached_template(n) if n <= _CANONICAL_MAX_N else _format_template(n)
-
-
 @functools.lru_cache(maxsize=4)
-def _theta_fields(n: int) -> tuple[bytes, ...]:
-    """The theta fields of every PSD file on the n-node grid, as written."""
-    return tuple(b"%.17g" % theta for theta in make_grid(n).nodes.tolist())
+def _cached_grid_text(n: int) -> tuple[tuple[bytes, ...], bytes]:
+    """The theta fields of every PSD file on the n-node grid, as written, and
+    the text of such a file with ``%.17g`` for each value."""
+    fields = [b"%.17g" % theta for theta in make_grid(n).nodes.tolist()]
+    return tuple(fields), _PSD_HEADER_LINE + b",%.17g\n".join(fields) + b",%.17g\n"
+
+
+def _grid_text(n: int) -> tuple[tuple[bytes, ...], bytes]:
+    """:func:`_cached_grid_text`, cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
+    return (_cached_grid_text if n <= _CANONICAL_MAX_N else _cached_grid_text.__wrapped__)(n)
 
 
 # Every byte but the field and line separators (CR ends a line for the row
@@ -151,7 +143,7 @@ def _canonical_psd(path) -> Psd | None:
     if not 2 <= n <= _CANONICAL_MAX_N or separators != b",\n" * (n + 1):
         return None
     fields = data.replace(b"\n", b",").split(b",")
-    if tuple(fields[2:-1:2]) != _theta_fields(n):
+    if tuple(fields[2:-1:2]) != _grid_text(n)[0]:
         return None
     try:
         values = np.fromiter(map(float, fields[3::2]), dtype=float, count=n)

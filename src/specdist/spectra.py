@@ -104,8 +104,8 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
     ------
     UnstableModelError
         If some root of ``A`` lies on or outside the unit circle (a
-        reflection coefficient of modulus >= 1), so that no stationary
-        process has this spectrum.
+        reflection coefficient of modulus >= 1, or a grid node where the
+        computed |A|^2 is 0), so that no stationary process has this spectrum.
     ValueError
         If ``sigma2 <= 0``, or if the density exceeds the double range.
     """
@@ -114,6 +114,9 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
     _require_stable(a)
     power = _transform_power(np.concatenate(([1.0], -a)), grid.n)
+    if not power.all():  # a root within rounding of the unit circle passes _require_stable
+        node = grid.nodes[np.argmin(power)]
+        raise UnstableModelError(f"AR model is not stable: |A|^2 is 0 at theta = {node:.6g}")
     with np.errstate(over="ignore"):
         values = sigma2 / power
     return _density_in_range(grid, values)

@@ -163,6 +163,12 @@ class TestDist:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
 
+    @pytest.mark.parametrize("form", ["ar:0.7,0.3:1", "ar:-0.5,0.5:1"])
+    def test_root_on_the_unit_circle_is_a_domain_error(self, capsys, form):
+        code, out, err = run(capsys, "dist", form, "const:1", "--grid", 64)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: AR model is not stable") and err.count("\n") == 1
+
     def test_unknown_command_exits_2(self, fixtures):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

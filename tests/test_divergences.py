@@ -91,6 +91,22 @@ class TestGeodesicDistance:
             d13 = geodesic_distance(f1, f3)
             assert d12 + d23 >= d13 - 1e-9
 
+    def test_symmetrized_divergence_breaks_the_triangle_inequality(self, grid4096):
+        # neither sym nor its square root is a metric on this triple; d_g is
+        f = psd_from_ar([-0.9], 1.0, grid4096)
+        h = psd_from_ar([-0.7], 1.0, grid4096)
+        q = psd_from_samples(grid4096, np.exp(-1.2 * np.cos(grid4096.nodes)))
+        sym = [divergence_sym(f, q), divergence_sym(f, h), divergence_sym(h, q)]
+        assert sym == pytest.approx([0.91826, 0.26656, 0.17980], abs=1e-5)
+        assert sym[0] > sym[1] + sym[2]
+        root = [math.sqrt(x) for x in sym]
+        assert root == pytest.approx([0.95826, 0.51630, 0.42403], abs=1e-5)
+        assert root[0] > root[1] + root[2]
+        dg = [geodesic_distance(f, q), geodesic_distance(f, h), geodesic_distance(h, q)]
+        assert dg[0] == pytest.approx(0.86614, abs=1e-5)
+        assert dg[1] + dg[2] == pytest.approx(0.90064, abs=1e-5)
+        assert dg[0] < dg[1] + dg[2]  # strict: h is off the geodesic from f to q
+
     def test_infinity_propagates_through_triples(self, grid64):
         f1 = psd_with_zero_at(grid64, 3)
         f3 = psd_constant(grid64, 1.0)
@@ -199,6 +215,8 @@ class TestNearProportionalPairs:
         assert divergence_ag(f1, f2) == pytest.approx(float(ag), rel=bound, abs=0.0)
         rs = mp_log_power_mean(x, 2) - mp_log_power_mean(x, -1)
         assert divergence_rs(f1, f2, 2.0, -1.0) == pytest.approx(float(rs), rel=bound, abs=0.0)
+        sym = mp_log_power_mean(x, 1) - mp_log_power_mean(x, -1)
+        assert divergence_sym(f1, f2) == pytest.approx(float(sym), rel=bound, abs=0.0)
         assert float(ag) == pytest.approx(eps**2 / 4, rel=1e-2, abs=0.0)
 
 

@@ -294,15 +294,21 @@ class TestPathValue:
 
 class TestIntrinsicProperty:
     def test_distance_grows_proportionally(self, grid1024):
+        # d_g is blind to scale, so every scaled geodesic point c * f_tau also
+        # attains equality in the triangle inequality
         rng = np.random.default_rng(41)
         for _ in range(10):
             f0 = random_positive_spectrum(rng, grid1024)
             f1 = random_positive_spectrum(rng, grid1024)
             d = geodesic_distance(f0, f1)
             for tau in np.arange(0.1, 0.95, 0.1):
-                f_tau = geodesic_point(f0, f1, tau)
-                assert abs(geodesic_distance(f0, f_tau) - tau * d) <= 1e-10
-                assert abs(geodesic_distance(f_tau, f1) - (1.0 - tau) * d) <= 1e-10
+                point = geodesic_point(f0, f1, tau).values
+                for c in (1.0, 1e-30, 7.5, 1e30):
+                    f_tau = psd_from_samples(grid1024, c * point)
+                    d0, d1 = geodesic_distance(f0, f_tau), geodesic_distance(f_tau, f1)
+                    assert abs(d0 - tau * d) <= 1e-10
+                    assert abs(d1 - (1.0 - tau) * d) <= 1e-10
+                    assert abs(d0 + d1 - d) <= 1e-10
 
     @pytest.mark.parametrize("m", [2, 3, 11, 101])
     def test_path_length_equals_endpoint_distance(self, pair, m):
