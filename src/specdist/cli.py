@@ -10,8 +10,9 @@ on the ``--grid`` size (default 4096):
 
     const:<level>              flat density
     expcos:<a>                 exp(a * cos(theta))
-    ar:<a1,a2,...>:<sigma2>    autoregressive density (coefficients may be
-                               empty: ``ar::1`` is white noise)
+    ar:<a1,a2,...>:<sigma2>    autoregressive density; ``ar::1`` is white
+                               noise, an empty coefficient is refused, and so
+                               is a root within rounding of the unit circle
 
 Files keep the grid they were written on; ``--grid`` never resamples a
 file, and mixing files from different grids is refused rather than
@@ -65,7 +66,7 @@ def _parse_psd_arg(text: str, grid_n: int) -> Psd:
                 raise UsageError(
                     f"{text!r}: AR form is ar:<a1,a2,...>:<sigma2>"
                 )
-            coeffs = [float(c) for c in coeff_text.split(",") if c.strip()]
+            coeffs = [float(c) for c in coeff_text.split(",")] if coeff_text.strip() else []
             return psd_from_ar(coeffs, float(sigma_text), grid)
         except ValueError as exc:
             raise UsageError(f"bad analytic spectrum {text!r}: {exc}") from exc

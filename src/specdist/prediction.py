@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateCovarianceError
 from .grid import _count, _mirrored_pairs, _scaled_mean, _transform_power, _Value, _vector
-from .spectra import Psd, geometric_mean, psd_from_samples
+from .spectra import Psd, _step_up, geometric_mean, psd_from_samples
 
 __all__ = [
     "Autocovariance",
@@ -143,9 +143,7 @@ def levinson(acv: Autocovariance, p: int) -> PredictorCoeffs:
     variance = float(c[0])
     for m in range(1, p + 1):
         k = (c[m] - coeffs[: m - 1] @ c[m - 1 : 0 : -1]) / variance
-        if m > 1:
-            coeffs[: m - 1] -= k * coeffs[m - 2 :: -1]
-        coeffs[m - 1] = k
+        _step_up(coeffs, m, k)
         variance *= 1.0 - k * k
         if variance <= 0.0:
             raise DegenerateCovarianceError(

@@ -72,24 +72,35 @@ def psd_constant(grid: FrequencyGrid, level: float) -> Psd:
     return psd_from_samples(grid, np.full(grid.n, float(level)))
 
 
-def _require_stable(a: np.ndarray) -> None:
-    """Raise UnstableModelError unless every root of A(z) = 1 - sum_l a[l-1] z^{-l}
-    lies strictly inside the unit circle.
+def _reflections(a: np.ndarray) -> np.ndarray:
+    """Reflection coefficients k_1..k_p of ``a``; UnstableModelError unless every
+    root of A(z) = 1 - sum_l a[l-1] z^{-l} lies strictly inside the unit circle.
 
     Step-down (reverse Levinson) recursion: the order-m predictor's last
     coefficient is its reflection coefficient k_m, and removing it gives the
-    order-(m-1) predictor.  A is stable iff |k_m| < 1 at every order.
+    order-(m-1) predictor.  A is stable iff |k_m| < 1 at every order; |k_m|
+    within 2**-50 of 1 is 1 in rounding (a = (0.7, 0.3), with A(1) = 0, has
+    k_1 = 1 - 2**-53).
     """
+    ks = np.empty(a.size)
     c = a
     for m in range(a.size, 0, -1):
-        k = c[-1]
-        if not abs(k) < 1.0:
+        ks[m - 1] = k = c[-1]
+        if not abs(k) < 1.0 - 2.0**-50:
             raise UnstableModelError(
-                f"AR model is not stable: reflection coefficient k_{m} = {k:.6g} "
-                "has modulus >= 1"
+                f"AR model is not stable: reflection coefficient k_{m} = {k:.17g} "
+                "has modulus 1 or more, within rounding"
             )
         head = c[:-1]
         c = (head + k * head[::-1]) / (1.0 - k * k)
+    return ks
+
+
+def _step_up(coeffs: np.ndarray, m: int, k: float) -> None:
+    """Step the order-(m-1) predictor ``coeffs[: m - 1]`` up to order m with k_m = k, in place."""
+    head = coeffs[: m - 1]
+    head -= k * head[::-1]
+    coeffs[m - 1] = k
 
 
 def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
@@ -103,18 +114,18 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
     Raises
     ------
     UnstableModelError
-        If some root of ``A`` lies on or outside the unit circle (a
-        reflection coefficient of modulus >= 1, or a grid node where the
-        computed |A|^2 is 0), so that no stationary process has this spectrum.
+        If some root of ``A`` lies on or outside the unit circle within
+        rounding (a |k_m| within 2**-50 of 1 or above, or a grid node where
+        the computed |A|^2 is 0), so that no stationary process has this spectrum.
     ValueError
         If ``sigma2 <= 0``, or if the density exceeds the double range.
     """
     a = _vector(np.atleast_1d(a), "a")
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
-    _require_stable(a)
+    _reflections(a)
     power = _transform_power(np.concatenate(([1.0], -a)), grid.n)
-    if not power.all():  # a root within rounding of the unit circle passes _require_stable
+    if not power.all():  # a root this close to the unit circle can pass the step-down
         node = grid.nodes[np.argmin(power)]
         raise UnstableModelError(f"AR model is not stable: |A|^2 is 0 at theta = {node:.6g}")
     with np.errstate(over="ignore"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specdist import make_grid, psd_constant, psd_from_ar, psd_from_samples
+from specdist.spectra import _step_up
 
 # The extremes a density value can take: zero, the least subnormal, the least
 # normal and the largest double.
@@ -72,9 +73,7 @@ def ar_from_reflections(reflections):
     stepped up by the Levinson recursion; stable when every |k| < 1."""
     coeffs = np.zeros(len(reflections))
     for m, k in enumerate(reflections, start=1):
-        head = coeffs[: m - 1]
-        coeffs[: m - 1] = head - k * head[::-1]
-        coeffs[m - 1] = k
+        _step_up(coeffs, m, k)
     return coeffs
 
 

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own code paths: series
 summations for the special-function values, midpoint-rule quadrature on a
 staggered grid for integrals, direct DTFT and dense Toeplitz solves for
 the transform and prediction checks, per-row formatting for written bytes,
-and the cepstrum for distances.
+and the cepstrum for distances.  The one exception is the AR prediction
+ratio, which shares the library's reflection recursion but uses no grid.
 """
 
 import math
 
 import numpy as np
+
+from specdist.spectra import _reflections, _step_up
 
 
 def bessel_i0(x: float, tol: float = 1e-16) -> float:
@@ -224,3 +227,32 @@ def ar_distance(a, b) -> float:
 
     gap = power_sums(roots_a) - power_sums(roots_b)
     return math.sqrt(2.0 * math.fsum((np.abs(gap) / k) ** 2))
+
+
+def ar_prediction_ratio(a1, a2) -> float:
+    """rho(AR(a1), AR(a2)), the arithmetic over the geometric mean of f1/f2,
+    with no grid.
+
+    For stable f_i = s_i / |A_i(e^{i theta})|^2 the geometric mean of f1/f2
+    is s1/s2 (Szego-Kolmogorov: log|A|^2 has mean zero for a minimum-phase
+    A), and the arithmetic mean is b Gamma b / s2, with b = (1, -a2) and
+    Gamma the Toeplitz matrix of AR(a1)'s autocovariances c_0..c_{p2}.  So
+    rho = b Gamma b / s1, blind to both innovation variances; s1 = 1 here.
+    The lags come from a1's reflection coefficients k_m: c_0 = 1 / prod(1 -
+    k_m^2); stepping up, c_m = a^(m-1) . (c_{m-1}, ..., c_1) + k_m E_{m-1}
+    with E_{m-1} the order-(m-1) error variance; past p1 by Yule-Walker,
+    c_j = a1 . (c_{j-1}, ..., c_{j-p1}).
+    """
+    a1, b = np.asarray(a1, dtype=float), np.concatenate(([1.0], -np.asarray(a2, dtype=float)))
+    ks = _reflections(a1)
+    lags = np.zeros(max(a1.size, b.size - 1) + 1)
+    lags[0] = variance = 1.0 / np.prod(1.0 - ks * ks)
+    coeffs = np.zeros(a1.size)
+    for m, k in enumerate(ks, start=1):
+        lags[m] = coeffs[: m - 1] @ lags[m - 1 : 0 : -1] + k * variance
+        _step_up(coeffs, m, k)
+        variance *= 1.0 - k * k
+    for j in range(a1.size + 1, b.size):
+        lags[j] = a1 @ lags[j - a1.size : j][::-1]
+    lag = np.abs(np.subtract.outer(np.arange(b.size), np.arange(b.size)))
+    return float(b @ lags[lag] @ b)

@@ -156,6 +156,10 @@ class TestDist:
         [
             ("ar:0.5", "'ar:0.5': AR form is ar:<a1,a2,...>:<sigma2>"),
             ("expcos:abc", "bad analytic spectrum 'expcos:abc': could not convert"),
+            *(
+                (form, f"bad analytic spectrum {form!r}: could not convert string to float: ''")
+                for form in ("ar:0.5,,0.2:1", "ar:,0.5:1", "ar:0.5,:1")
+            ),
         ],
     )
     def test_malformed_analytic_form_is_usage_error(self, capsys, form, message):
@@ -163,11 +167,15 @@ class TestDist:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
 
+    def test_an_empty_coefficient_list_is_white_noise(self, capsys):
+        assert run(capsys, "dist", "ar::1", "const:1")[:2] == (0, "0\n")
+
     @pytest.mark.parametrize("form", ["ar:0.7,0.3:1", "ar:-0.5,0.5:1"])
     def test_root_on_the_unit_circle_is_a_domain_error(self, capsys, form):
-        code, out, err = run(capsys, "dist", form, "const:1", "--grid", 64)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: AR model is not stable") and err.count("\n") == 1
+        for n in (64, 63):
+            code, out, err = run(capsys, "dist", form, "const:1", "--grid", n)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: AR model is not stable") and err.count("\n") == 1
 
     def test_unknown_command_exits_2(self, fixtures):
         with pytest.raises(SystemExit) as exc:

@@ -83,12 +83,16 @@ class TestAutoregressive:
         with pytest.raises(UnstableModelError):
             psd_from_ar([1.0], 1.0, grid64)
 
-    @pytest.mark.parametrize("a,node", [([0.7, 0.3], "0"), ([-0.7, 0.3], "-3.14159")])
-    def test_root_within_rounding_of_the_unit_circle_is_rejected(self, a, node):
-        # A(1) or A(-1) is 0 in decimal, but k_1 rounds to just under 1, so
-        # only the grid power, exactly 0 at that node, shows the root
-        with pytest.raises(UnstableModelError, match=f"is 0 at theta = {node}$"):
-            psd_from_ar(a, 1.0, make_grid(8))
+    @pytest.mark.parametrize(
+        "a,k", [([0.7, 0.3], "0.99999999999999989"), ([-0.7, 0.3], "-0.99999999999999989")]
+    )
+    def test_root_within_rounding_of_the_unit_circle_is_rejected(self, a, k):
+        # A(1) or A(-1) is 0 in decimal, but k_1 rounds to just inside the
+        # circle; the step-down refuses it whether or not a node is on the root
+        message = f"k_1 = {k} has modulus 1 or more, within rounding$"
+        for n in (8, 63):
+            with pytest.raises(UnstableModelError, match=message):
+                psd_from_ar(a, 1.0, make_grid(n))
 
     @pytest.mark.parametrize("a", [[2.0], [0.5, 1.2]])
     def test_explosive_models_are_rejected(self, grid4096, a):
