@@ -146,11 +146,14 @@ def _centered_mean_square(d: np.ndarray) -> np.ndarray:
     """mean((d - mean(d))^2) along the last axis, computed in place in ``d``.
 
     Reducing along the contiguous last axis keeps numpy's pairwise summation,
-    so each row of a block gives the bits it gives alone.
+    so each row of a block gives the bits it gives alone.  Each mean is the
+    sum divided by the count, which is what ``ndarray.mean`` computes, without
+    its Python wrapper.
     """
-    d -= d.mean(axis=-1, keepdims=True)
+    n = d.shape[-1]
+    d -= np.add.reduce(d, axis=-1, keepdims=True) / n
     d *= d
-    return d.mean(axis=-1)
+    return np.add.reduce(d, axis=-1) / n
 
 
 def _scaled_mean(mean, x: np.ndarray, degree: int, bound, what: str) -> float:

@@ -34,6 +34,7 @@ import csv
 import functools
 import math
 import os
+import stat
 import warnings
 from types import SimpleNamespace
 
@@ -67,7 +68,7 @@ _SPACING_RTOL = 1e-9
 
 # Grids of up to this many nodes keep their file text cached and take the
 # canonical parse: a write template of about 26 bytes a node and theta
-# fields of about 60.  On larger grids the field list costs more than
+# fields of about 21.  On larger grids the field list costs more than
 # skipping half the conversions saves, and the cached text would hold on to
 # megabytes.
 _CANONICAL_MAX_N = 1 << 14
@@ -98,14 +99,15 @@ def write_psd_csv(psd: Psd, path) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _cached_grid_text(n: int) -> tuple[tuple[bytes, ...], bytes]:
-    """The theta fields of every PSD file on the n-node grid, as written, and
-    the text of such a file with ``%.17g`` for each value."""
-    fields = [b"%.17g" % theta for theta in make_grid(n).nodes.tolist()]
-    return tuple(fields), _PSD_HEADER_LINE + b",%.17g\n".join(fields) + b",%.17g\n"
+def _cached_grid_text(n: int) -> tuple[bytes, bytes]:
+    """The theta fields of every PSD file on the n-node grid, as written and
+    joined by commas, and the text of such a file with ``%.17g`` for each
+    value."""
+    thetas = b",".join(b"%.17g" % theta for theta in make_grid(n).nodes.tolist())
+    return thetas, _PSD_HEADER_LINE + thetas.replace(b",", b",%.17g\n") + b",%.17g\n"
 
 
-def _grid_text(n: int) -> tuple[tuple[bytes, ...], bytes]:
+def _grid_text(n: int) -> tuple[bytes, bytes]:
     """:func:`_cached_grid_text`, cached for grids of up to ``_CANONICAL_MAX_N`` nodes."""
     return (_cached_grid_text if n <= _CANONICAL_MAX_N else _cached_grid_text.__wrapped__)(n)
 
@@ -134,7 +136,11 @@ def _canonical_psd(path) -> Psd | None:
     # Written rows are at most 48 bytes, so a longer file has too many.
     limit = len(_PSD_HEADER_LINE) + 64 * _CANONICAL_MAX_N
     with open(path, "rb") as fh:
-        data = fh.read(limit + 1)
+        # A regular file is read at its size, so the buffer is no larger
+        # than the file; a pipe has no size and is read up to the limit.
+        status = os.fstat(fh.fileno())
+        size = min(status.st_size, limit) if stat.S_ISREG(status.st_mode) else limit
+        data = fh.read(size + 1)
     if len(data) > limit or not data.startswith(_PSD_HEADER_LINE):
         return None
     # The header line holds one comma and one LF, so n rows hold n more each.
@@ -143,7 +149,7 @@ def _canonical_psd(path) -> Psd | None:
     if not 2 <= n <= _CANONICAL_MAX_N or separators != b",\n" * (n + 1):
         return None
     fields = data.replace(b"\n", b",").split(b",")
-    if tuple(fields[2:-1:2]) != _grid_text(n)[0]:
+    if b",".join(fields[2:-1:2]) != _grid_text(n)[0]:
         return None
     try:
         values = np.fromiter(map(float, fields[3::2]), dtype=float, count=n)

@@ -184,6 +184,14 @@ def rho_empirical(f1: Psd, f2: Psd, p: int) -> float:
     Both variances are taken of ``f1`` scaled down by the power of two that
     brings its geometric mean below 2, so a ratio within the double range is
     finite whatever the scale of ``f1``; one past it raises ``OverflowError``.
+
+    Its accuracy is bounded by the dynamic range of ``f2``: the recursion on
+    quadrature autocovariances loses about u * max(f2)/min(f2) relative, with
+    u = 2**-52, even at orders where the predictor is exact (``p`` at least
+    the order of an AR ``f2``).  An AR(8) ``f2`` with a max/min spread of
+    1.4e10 gave relative errors of 1.8e-7 to 9.3e-7 at p = 8, 9 and 16, where
+    ``prediction_ratio`` was within 1.3e-13 of the exact ratio.  A difference
+    from ``prediction_ratio`` below that bound is rounding, not truncation.
     """
     p = _count(p, "predictor order must be >= 1, got {}", 1)
     if f1.zero_set or f2.zero_set:

@@ -458,6 +458,22 @@ class TestFastParse:
         np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
         assert g.zero_set == frozenset({0})
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_written_file_is_read_from_a_pipe(self, tmp_path, grid64):
+        # A pipe has no size and cannot be read twice, so the canonical parse
+        # must take it whole, as from `specdist matrix <(cat f.csv)`.
+        f = random_positive_spectrum(np.random.default_rng(5), grid64)
+        path = tmp_path / "f.csv"
+        write_psd_csv(f, path)
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())  # about 2.5 kB, within the pipe's buffer
+            os.close(w)
+            g = read_psd_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+
     def test_timestamp_t_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "ts.csv"
         path.write_text("t,value\n2024-01-01T00:00,1.5\n2024-01-01T00:01,-2\n\n2024-01-01,3\n")
@@ -523,6 +539,11 @@ def _mixed_spectra(k, grid, rng):
     return [spectra[i] for i in rng.permutation(k)]
 
 
+# _mixed_spectra keeps 7 of every 10 spectra positive, so these K give
+# _PAIR_BLOCK, _PAIR_BLOCK + 1 and 2 * _PAIR_BLOCK + 1 positive rows.
+_BLOCK_EDGE_KS = (11, 12, 23)
+
+
 class TestDistanceMatrix:
     def test_io_binds_the_table_of_divergences(self):
         # the table lives beside the distance; io keeps its public names
@@ -550,7 +571,15 @@ class TestDistanceMatrix:
         entries.setflags(write=False)
         assert DistanceMatrix(labels=("a", "b"), entries=entries).entries is entries
 
-    @pytest.mark.parametrize("k", [1, 2, 33, 70])
+    def test_block_edge_sizes_end_the_pair_loop_at_a_block_edge(self, grid64):
+        b = divergences._PAIR_BLOCK
+        positive = [
+            sum(not f.zero_set for f in _mixed_spectra(k, grid64, np.random.default_rng(k)))
+            for k in _BLOCK_EDGE_KS
+        ]
+        assert positive == [b, b + 1, 2 * b + 1]
+
+    @pytest.mark.parametrize("k", [1, 2, *_BLOCK_EDGE_KS, 33, 70])
     def test_entries_equal_pairwise_geodesic_distance(self, grid1024, k, monkeypatch):
         spectra = _mixed_spectra(k, grid1024, np.random.default_rng(k))
         calls = []
@@ -609,7 +638,7 @@ class TestDistanceMatrix:
 
     def test_a_stream_holds_one_log_row_per_spectrum(self):
         # Holding every density beside its log row takes 2*k*n*8 bytes, plus
-        # the pair loop's scratch block of 32 rows (0.32*k*n*8 at k = 100).
+        # the pair loop's scratch block of 8 rows (0.08*k*n*8 at k = 100).
         # The stream holds the log table, that block and the spectrum read.
         k, grid = 100, make_grid(4096)
         rng = np.random.default_rng(8)

@@ -2,9 +2,10 @@
 
     python3 tools/bench_record.py COMMIT [--work-dir DIR] [--out DIR]
 
-The commit is checked out with ``git worktree`` at ``<work-dir>/<its full
-sha>``, a path whose length is the same for every commit, because a
-workload's peak RSS depends on the length of the checkout path.  Its own
+The commit's files are extracted with ``git archive`` into ``<work-dir>/<its
+full sha>``, a path whose length is the same for every commit, because a
+workload's peak RSS depends on the length of the checkout path; the
+extract is deleted afterwards, and the repository records nothing of it.  Its own
 ``perfbench/run.py`` runs there unchanged for ``BENCHMARK.json``'s
 ``run_seconds``: every workload once per seed of ``SEEDS`` at ``--trace 0``,
 seeds outermost, then once at ``--trace 1`` on ``TRACE_SEED``.  Seeds and
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,9 +81,12 @@ def machine_block(record_machine: dict) -> dict:
 def record(commit: str, work_dir: Path) -> dict:
     start = time.perf_counter()
     checkout = work_dir / commit
-    work_dir.mkdir(parents=True, exist_ok=True)
-    git("worktree", "add", "--detach", str(checkout), commit)
+    checkout.mkdir(parents=True)
     try:
+        archive = subprocess.run(
+            ["git", "-C", str(REPO), "archive", commit], check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
         seconds, workloads, metrics, layers = benchmark_spec(checkout)
         runs = {w: [] for w in workloads}
         machine = None
@@ -94,7 +99,7 @@ def record(commit: str, work_dir: Path) -> dict:
                 print(f"{w} seed {seed}: op_p50_ms {p50:.1f}", file=sys.stderr)
         traced = {w: run_once(checkout, w, TRACE_SEED, seconds, 1)[1]["metrics"] for w in workloads}
     finally:
-        git("worktree", "remove", "--force", str(checkout))
+        shutil.rmtree(checkout)
     out = {}
     for w in workloads:
         end_to_end = {}
