@@ -571,7 +571,7 @@ class TestDistanceMatrix:
         entries.setflags(write=False)
         assert DistanceMatrix(labels=("a", "b"), entries=entries).entries is entries
 
-    def test_block_edge_sizes_end_the_pair_loop_at_a_block_edge(self, grid64):
+    def test_block_edge_ks_match_the_pair_block(self, grid64):
         b = divergences._PAIR_BLOCK
         positive = [
             sum(not f.zero_set for f in _mixed_spectra(k, grid64, np.random.default_rng(k)))

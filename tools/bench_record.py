@@ -4,9 +4,9 @@
 
 The commit's files are extracted with ``git archive`` into ``<work-dir>/<its
 full sha>``, a path whose length is the same for every commit, because a
-workload's peak RSS depends on the length of the checkout path; the
-extract is deleted afterwards, and the repository records nothing of it.  Its own
-``perfbench/run.py`` runs there unchanged for ``BENCHMARK.json``'s
+workload's peak RSS depends on the length of the checkout path.  The
+extract is deleted afterwards; the repository records nothing of it.  Its
+own ``perfbench/run.py`` runs there unchanged for ``BENCHMARK.json``'s
 ``run_seconds``: every workload once per seed of ``SEEDS`` at ``--trace 0``,
 seeds outermost, then once at ``--trace 1`` on ``TRACE_SEED``.  Seeds and
 run length are fixed, so any two recordings compare.  The file holds the
