@@ -19,106 +19,22 @@ io           CSV persistence
 cli          the ``specdist`` command
 """
 
-from .divergences import (
-    DistanceMatrix,
-    build_distance_matrix,
-    divergence_ag,
-    divergence_rs,
-    divergence_sym,
-    fisher_form,
-    geodesic_distance,
-    prediction_ratio,
-    riemannian_form,
-    scaled_metric_d,
-)
-from .errors import (
-    CsvParseError,
-    DegenerateCovarianceError,
-    EstimationError,
-    InvalidGridError,
-    NegativeDensityError,
-    NoFiniteGeodesicError,
-    NotNormalizableError,
-    SpectralError,
-    UnstableModelError,
-)
-from .estimation import TimeSeries, periodogram, welch
-from .geodesics import GeodesicPath, geodesic_path, geodesic_point, path_length
-from .grid import FrequencyGrid, make_grid
-from .io import (
-    read_psd_csv,
-    read_timeseries_csv,
-    write_distance_matrix_csv,
-    write_psd_csv,
-)
-from .prediction import (
-    Autocovariance,
-    PredictorCoeffs,
-    autocov_from_psd,
-    degraded_variance,
-    levinson,
-    rho_empirical,
-)
-from .spectra import (
-    Psd,
-    arithmetic_mean,
-    generalized_mean,
-    geometric_mean,
-    log_ratio,
-    normalize_to_ray,
-    psd_constant,
-    psd_from_ar,
-    psd_from_samples,
-)
+from . import divergences, errors, estimation, geodesics, grid, io, prediction, spectra
+from .divergences import *
+from .errors import *
+from .estimation import *
+from .geodesics import *
+from .grid import *
+from .io import *
+from .prediction import *
+from .spectra import *
 
 __version__ = "0.1.0"
 
+# A name is public when its module's __all__ lists it; each module lists
+# only the names it defines, so the union repeats none.
 __all__ = [
-    "Autocovariance",
-    "CsvParseError",
-    "DegenerateCovarianceError",
-    "DistanceMatrix",
-    "EstimationError",
-    "FrequencyGrid",
-    "GeodesicPath",
-    "InvalidGridError",
-    "NegativeDensityError",
-    "NoFiniteGeodesicError",
-    "NotNormalizableError",
-    "PredictorCoeffs",
-    "Psd",
-    "SpectralError",
-    "TimeSeries",
-    "UnstableModelError",
-    "arithmetic_mean",
-    "autocov_from_psd",
-    "build_distance_matrix",
-    "degraded_variance",
-    "divergence_ag",
-    "divergence_rs",
-    "divergence_sym",
-    "fisher_form",
-    "generalized_mean",
-    "geodesic_distance",
-    "geodesic_path",
-    "geodesic_point",
-    "geometric_mean",
-    "levinson",
-    "log_ratio",
-    "make_grid",
-    "normalize_to_ray",
-    "path_length",
-    "periodogram",
-    "prediction_ratio",
-    "psd_constant",
-    "psd_from_ar",
-    "psd_from_samples",
-    "read_psd_csv",
-    "read_timeseries_csv",
-    "rho_empirical",
-    "riemannian_form",
-    "scaled_metric_d",
-    "welch",
-    "write_distance_matrix_csv",
-    "write_psd_csv",
+    name
+    for module in (divergences, errors, estimation, geodesics, grid, io, prediction, spectra)
+    for name in module.__all__
 ]

@@ -6,6 +6,18 @@ domain failures that callers may want to handle individually.  The CLI maps
 all of them to exit code 1.
 """
 
+__all__ = [
+    "SpectralError",
+    "UnstableModelError",
+    "NoFiniteGeodesicError",
+    "NotNormalizableError",
+    "DegenerateCovarianceError",
+    "EstimationError",
+    "CsvParseError",
+    "InvalidGridError",
+    "NegativeDensityError",
+]
+
 
 class SpectralError(Exception):
     """Base class for domain errors raised by this package."""

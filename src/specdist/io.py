@@ -26,6 +26,10 @@ Time-series files take the last two.  Every parse accepts exactly the
 numbers ``float`` accepts.  A file whose name ends in ``.gz``, ``.bz2``,
 ``.xz`` or ``.lzma`` skips the loadtxt parse, because numpy would open it
 with a decompressor; every file is read as plain text, whatever its name.
+A source that is not a regular file, such as the pipe of ``<(cat f.csv)``,
+gives its bytes only once: it is read whole, and the canonical parse and the
+row parser run on those bytes, while loadtxt, which opens its file by name,
+is skipped.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 import os
 import stat
 import warnings
+from io import BytesIO, TextIOWrapper
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,12 +51,12 @@ from .estimation import TimeSeries
 from .grid import make_grid
 from .spectra import Psd, psd_from_samples
 
+# build_distance_matrix and DistanceMatrix stay bound here, unlisted: they are
+# divergences' names, and the benchmark traces the matrix at this binding.
 __all__ = [
-    "DistanceMatrix",
     "read_psd_csv",
     "write_psd_csv",
     "read_timeseries_csv",
-    "build_distance_matrix",
     "write_distance_matrix_csv",
     "format_scalar",
 ]
@@ -72,6 +77,9 @@ _SPACING_RTOL = 1e-9
 # skipping half the conversions saves, and the cached text would hold on to
 # megabytes.
 _CANONICAL_MAX_N = 1 << 14
+
+# Written rows are at most 48 bytes, so a longer file has too many.
+_CANONICAL_MAX_BYTES = len(_PSD_HEADER_LINE) + 64 * _CANONICAL_MAX_N
 
 # File name suffixes numpy's datasource opens with a decompressor, so
 # np.loadtxt would not read such a file as the plain text it is.
@@ -121,9 +129,26 @@ _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n\r"))
 _NOT_COMMA_OR_SEPARATOR = bytes(set(range(256)) - set(b",\x1c\x1d\x1e\x1f"))
 
 
-def _canonical_psd(path) -> Psd | None:
-    """The density in a file laid out as :func:`write_psd_csv` writes one on
-    a grid of up to ``_CANONICAL_MAX_N`` nodes; otherwise ``None``.
+def _read_source(path, head: int) -> tuple[bytes, bytes | None]:
+    """The first ``head`` bytes of a file and, unless it is a regular file,
+    all of its bytes.
+
+    A regular file is read no further than its size, so the buffer is no
+    larger than the file, and every parse may open it again.  Any other
+    source, such as a pipe, gives its bytes once, so it is read whole and
+    both results are those bytes.
+    """
+    with open(path, "rb") as fh:
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode):
+            return fh.read(min(status.st_size + 1, head)), None
+        data = fh.read()
+        return data, data
+
+
+def _canonical_psd(data: bytes) -> Psd | None:
+    """The density in file bytes laid out as :func:`write_psd_csv` writes one
+    on a grid of up to ``_CANONICAL_MAX_N`` nodes; otherwise ``None``.
 
     Such a file is the line ``theta,psd``, then one ``<theta>,<value>`` row
     per node with LF line ends and the theta fields written for that grid.
@@ -133,15 +158,7 @@ def _canonical_psd(path) -> Psd | None:
     values ``float`` or :func:`psd_from_samples` refuses is declined too, so
     the other parses decide it and report its error as they do.
     """
-    # Written rows are at most 48 bytes, so a longer file has too many.
-    limit = len(_PSD_HEADER_LINE) + 64 * _CANONICAL_MAX_N
-    with open(path, "rb") as fh:
-        # A regular file is read at its size, so the buffer is no larger
-        # than the file; a pipe has no size and is read up to the limit.
-        status = os.fstat(fh.fileno())
-        size = min(status.st_size, limit) if stat.S_ISREG(status.st_mode) else limit
-        data = fh.read(size + 1)
-    if len(data) > limit or not data.startswith(_PSD_HEADER_LINE):
+    if len(data) > _CANONICAL_MAX_BYTES or not data.startswith(_PSD_HEADER_LINE):
         return None
     # The header line holds one comma and one LF, so n rows hold n more each.
     separators = data.translate(None, _NOT_SEPARATORS)
@@ -206,18 +223,21 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
     return table
 
 
-def _read_rows(path, layouts: dict) -> tuple[np.ndarray, list[int]]:
+def _read_rows(path, layouts: dict, data: bytes | None = None) -> tuple[np.ndarray, list[int]]:
     """Row-by-row parse of a numeric CSV, raising on the first bad line.
 
     ``layouts`` maps each accepted header to the columns read from it; the
     other columns must be present but are not parsed.  Returns those columns
     as an ``(n, len(columns))`` array of finite floats that owns its memory,
-    and the 1-based line number of each row.
+    and the 1-based line number of each row.  Given the file's ``data``, it
+    parses those bytes, decoded as ``open(path, newline="")`` decodes the
+    file, instead of opening ``path``.
     """
     rows: list[list[float]] = []
     lines: list[int] = []
     try:
-        with open(path, newline="") as fh:
+        text = open(path, newline="") if data is None else TextIOWrapper(BytesIO(data), newline="")
+        with text as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             columns = None if header is None else layouts.get(tuple(c.strip() for c in header))
@@ -264,12 +284,13 @@ def read_psd_csv(path) -> Psd:
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
-    psd = _canonical_psd(path)
+    head, whole = _read_source(path, _CANONICAL_MAX_BYTES + 1)
+    psd = _canonical_psd(head)
     if psd is not None:
         return psd
-    table = _numeric_table(path, _PSD_LAYOUT)
+    table = None if whole is not None else _numeric_table(path, _PSD_LAYOUT)
     if table is None or np.any(table[:, 1] < 0.0):
-        table, lines = _read_rows(path, _PSD_LAYOUT)
+        table, lines = _read_rows(path, _PSD_LAYOUT, whole)
         negative = np.flatnonzero(table[:, 1] < 0.0)
         if negative.size:
             i = negative[0]
@@ -303,9 +324,10 @@ def read_timeseries_csv(path) -> TimeSeries:
     parsed table owns its memory and has one column; it is sealed read-only,
     so the series keeps that column rather than a copy.
     """
-    table = _numeric_table(path, _SERIES_LAYOUTS)
+    _, whole = _read_source(path, 0)
+    table = None if whole is not None else _numeric_table(path, _SERIES_LAYOUTS)
     if table is None:
-        table, _ = _read_rows(path, _SERIES_LAYOUTS)
+        table, _ = _read_rows(path, _SERIES_LAYOUTS, whole)
     table.setflags(write=False)
     try:
         return TimeSeries(samples=table[:, 0])

@@ -118,11 +118,12 @@ def psd_from_ar(a, sigma2: float, grid: FrequencyGrid) -> Psd:
         rounding (a |k_m| within 2**-50 of 1 or above, or a grid node where
         the computed |A|^2 is 0), so that no stationary process has this spectrum.
     ValueError
-        If ``sigma2 <= 0``, or if the density exceeds the double range.
+        If ``sigma2`` is not finite and positive, or if the density exceeds
+        the double range.
     """
     a = _vector(np.atleast_1d(a), "a")
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError(f"innovation variance must be positive, got {sigma2}")
+        raise ValueError(f"innovation variance must be finite and positive, got {sigma2}")
     _reflections(a)
     power = _transform_power(np.concatenate(([1.0], -a)), grid.n)
     if not power.all():  # a root this close to the unit circle can pass the step-down

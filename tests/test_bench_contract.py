@@ -79,7 +79,7 @@ def test_benchmark_psd_files_take_the_canonical_parse(tmp_path, n):
     INPUTS.write_psd_csv(path, values)
     with open(path, newline="") as fh:
         assert fh.readline() == "theta,psd\n"
-    psd = specdist_io._canonical_psd(path)
+    psd = specdist_io._canonical_psd(path.read_bytes())
     assert psd is not None
     np.testing.assert_array_equal(psd.values.view(np.uint64), values.view(np.uint64))
 
@@ -182,6 +182,20 @@ def test_bench_compare_reports_each_metric_and_each_layer_that_ran(capsys):
     paths = [str(_REPO / f"BENCH_{c}.json") for c in ("526fcc1", "f7f9a25")]
     assert COMPARE.main(paths) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_bench_compare_reports_layer_overlap_where_both_files_hold_quartiles():
+    old, new = (json.loads((_REPO / "BENCH_9a2e35f.json").read_text()) for _ in "on")
+    for bench, write, point in ((old, 200.0, 5.0), (new, 215.0, 6.0)):
+        layers = bench["workloads"]["path-101"]["per_layer_self_ms"]
+        layers["io.write_psd_csv.self_ms"] = {"median": write + 10, "q1": write, "q3": write + 20}
+        layers["geodesics.geodesic_point.self_ms"] = {"median": point, "q1": point - 0.1, "q3": point + 0.1}
+    lines = COMPARE.compare(old, new, _BENCHMARK)
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:] if line}
+    assert rows["path-101", "io.write_psd_csv.self_ms"] == ["210.00", "225.00", "+15.00", "yes"]
+    assert rows["path-101", "geodesics.geodesic_point.self_ms"] == ["5.00", "6.00", "+1.00", "no"]
+    # a single traced run per file: no spread, so no overlap is told
+    assert rows["path-101", "cli.main.self_ms"] == ["5.28", "5.28", "+0.00"]
 
 
 def test_bench_compare_notes_recordings_that_do_not_compare():

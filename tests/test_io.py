@@ -373,7 +373,7 @@ class TestFastParse:
             warnings.simplefilter("error")
             fast = _outcome(read, path)
         with monkeypatch.context() as m:
-            m.setattr(specdist_io, "_canonical_psd", lambda path: None)
+            m.setattr(specdist_io, "_canonical_psd", lambda data: None)
             m.setattr(specdist_io, "_numeric_table", lambda path, headers: None)
             rows = _outcome(read, path)
         if isinstance(rows, Exception):
@@ -432,7 +432,7 @@ class TestFastParse:
         f = random_positive_spectrum(np.random.default_rng(9), grid)
         path = tmp_path / "f.csv"
         write_psd_csv(f, path)
-        assert specdist_io._canonical_psd(path) is None
+        assert specdist_io._canonical_psd(path.read_bytes()) is None
 
         def refuse(*args, **kwargs):
             raise AssertionError("left the loadtxt parse")
@@ -460,19 +460,39 @@ class TestFastParse:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_a_written_file_is_read_from_a_pipe(self, tmp_path, grid64):
-        # A pipe has no size and cannot be read twice, so the canonical parse
-        # must take it whole, as from `specdist matrix <(cat f.csv)`.
+        # A pipe has no size and gives its bytes once, as from `specdist dist
+        # <(cat f.csv)`: the canonical parse takes a written file whole, and
+        # the row parser its twins and a series past the 8 KiB text buffer
+        # (under the 64 KiB pipe buffer, so it is written before the read).
         f = random_positive_spectrum(np.random.default_rng(5), grid64)
         path = tmp_path / "f.csv"
         write_psd_csv(f, path)
-        r, w = os.pipe()
-        try:
-            os.write(w, path.read_bytes())  # about 2.5 kB, within the pipe's buffer
-            os.close(w)
-            g = read_psd_csv(f"/dev/fd/{r}")
-        finally:
-            os.close(r)
-        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+        written = path.read_bytes()
+        samples = np.random.default_rng(6).standard_normal(1500)
+        series = ("value\n" + "".join(f"{x!r}\n" for x in samples.tolist())).encode()
+        assert 10 << 10 < len(series) < 60 << 10
+        psd, ts = (read_psd_csv, lambda g: g.values), (read_timeseries_csv, lambda s: s.samples)
+        twins = {
+            "written": (*psd, written),
+            "theta 0.0": (*psd, written.replace(b"\n0,", b"\n0.0,")),
+            "crlf": (*psd, written.replace(b"\n", b"\r\n")),
+            "no final LF": (*psd, written[:-1]),
+            "series": (*ts, series),
+        }
+        assert len({data for _, _, data in twins.values()}) == len(twins)
+        for name, (read, vector, data) in twins.items():
+            twin = tmp_path / "twin.csv"
+            twin.write_bytes(data)
+            r, w = os.pipe()
+            try:
+                os.write(w, data)
+                os.close(w)
+                piped = vector(read(f"/dev/fd/{r}"))
+            finally:
+                os.close(r)
+            expected = f.values if read is read_psd_csv else samples
+            np.testing.assert_array_equal(vector(read(twin)).view(np.uint64), expected.view(np.uint64))
+            np.testing.assert_array_equal(piped.view(np.uint64), expected.view(np.uint64), err_msg=name)
 
     def test_timestamp_t_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "ts.csv"

@@ -126,8 +126,10 @@ class TestAutoregressive:
             )
 
     def test_bad_innovation_variance_is_rejected(self, grid64):
-        with pytest.raises(ValueError, match="positive"):
-            psd_from_ar([0.5], 0.0, grid64)
+        for sigma2, shown in [(0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"), (math.nan, "nan")]:
+            message = f"^innovation variance must be finite and positive, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                psd_from_ar([0.5], sigma2, grid64)
 
     def test_density_past_the_double_range_is_rejected(self, grid64):
         # 1e308 / (1 - 0.999)^2 at theta = 0

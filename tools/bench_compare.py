@@ -6,7 +6,9 @@ For each workload and each end-to-end metric of ``BENCHMARK.json`` it prints
 the OLD and NEW medians, the ratio NEW/OLD, and whether the two [q1, q3]
 ranges overlap; a gain or a loss whose ranges overlap is not told apart from
 the spread of the runs.  Then it prints, per workload, the traced ``self_ms``
-of every layer that is nonzero in either file, with NEW - OLD.  A note heads
+of every layer that is nonzero in either file, with NEW - OLD, and whether
+the layer's [q1, q3] ranges overlap when both files hold them (recordings
+of one traced run hold a single value per layer).  A note heads
 the tables when the two files were recorded on different machines or from
 checkout paths of different lengths, since neither then compares.
 """
@@ -23,6 +25,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 def _overlap(a: dict, b: dict) -> bool:
     return a["q1"] <= b["q3"] and b["q1"] <= a["q3"]
+
+
+def _layer(value) -> dict:
+    """A layer's traced self_ms as a spread; a single traced run has none."""
+    return value if isinstance(value, dict) else {"median": value}
 
 
 def compare(old: dict, new: dict, spec: dict) -> list[str]:
@@ -46,15 +53,18 @@ def compare(old: dict, new: dict, spec: dict) -> list[str]:
             overlap = "yes" if _overlap(a, b) else "no"
             lines.append(row.format(workload, metric, f"{a['median']:.4g}", f"{b['median']:.4g}", ratio, overlap))
     lines.append("")
-    row = "{:<13} {:<40} {:>10} {:>10} {:>10}"
-    lines.append(row.format("workload", "traced self_ms", "OLD", "NEW", "NEW - OLD"))
+    row = "{:<13} {:<40} {:>10} {:>10} {:>10}  {}"
+    lines.append(row.format("workload", "traced self_ms", "OLD", "NEW", "NEW - OLD", "[q1,q3] overlap"))
     for workload in (w["name"] for w in spec["workloads"]):
         a = old["workloads"][workload]["per_layer_self_ms"]
         b = new["workloads"][workload]["per_layer_self_ms"]
         for layer in [*a, *(name for name in b if name not in a)]:
-            x, y = a.get(layer, 0.0), b.get(layer, 0.0)
-            if x or y:
-                lines.append(row.format(workload, layer, f"{x:.2f}", f"{y:.2f}", f"{y - x:+.2f}"))
+            x, y = _layer(a.get(layer, 0.0)), _layer(b.get(layer, 0.0))
+            if x["median"] or y["median"]:
+                overlap = ("yes" if _overlap(x, y) else "no") if "q1" in x and "q1" in y else ""
+                delta = f"{y['median'] - x['median']:+.2f}"
+                cells = f"{x['median']:.2f}", f"{y['median']:.2f}", delta, overlap
+                lines.append(row.format(workload, layer, *cells).rstrip())
     return lines
 
 
