@@ -118,8 +118,12 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    spectra = (read_psd_csv(p) for p in args.files)
     labels = [Path(p).stem for p in args.files]
+    first: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if (j := first.setdefault(label, i)) != i:
+            raise UsageError(f"{args.files[j]} and {args.files[i]} both give the label {label!r}")
+    spectra = (read_psd_csv(p) for p in args.files)
     matrix = divergences.build_distance_matrix(spectra, labels)
     write_distance_matrix_csv(matrix, args.out)
     return 0

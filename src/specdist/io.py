@@ -23,24 +23,23 @@ values as the next on the files it accepts:
 3. the row parser, the only one that reports a bad line.
 
 Time-series files take the last two.  Every parse accepts exactly the
-numbers ``float`` accepts.  A file whose name ends in ``.gz``, ``.bz2``,
-``.xz`` or ``.lzma`` skips the loadtxt parse, because numpy would open it
-with a decompressor; every file is read as plain text, whatever its name.
-A source that is not a regular file, such as the pipe of ``<(cat f.csv)``,
-gives its bytes only once: it is read whole, and the canonical parse and the
-row parser run on those bytes, while loadtxt, which opens its file by name,
-is skipped.
+numbers ``float`` accepts and opens the file by name, as plain text whatever
+its name.  So a source that is not a regular file (the pipe of
+``<(cat f.csv)`` gives its bytes once), or whose name ends in ``.gz``,
+``.bz2``, ``.xz`` or ``.lzma`` (numpy would decompress it), is first copied
+to a temporary file, removed after the read.  Messages name the path given.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
 import os
-import stat
+import shutil
+import tempfile
 import warnings
-from io import BytesIO, TextIOWrapper
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,21 +128,22 @@ _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n\r"))
 _NOT_COMMA_OR_SEPARATOR = bytes(set(range(256)) - set(b",\x1c\x1d\x1e\x1f"))
 
 
-def _read_source(path, head: int) -> tuple[bytes, bytes | None]:
-    """The first ``head`` bytes of a file and, unless it is a regular file,
-    all of its bytes.
-
-    A regular file is read no further than its size, so the buffer is no
-    larger than the file, and every parse may open it again.  Any other
-    source, such as a pipe, gives its bytes once, so it is read whole and
-    both results are those bytes.
-    """
-    with open(path, "rb") as fh:
-        status = os.fstat(fh.fileno())
-        if stat.S_ISREG(status.st_mode):
-            return fh.read(min(status.st_size + 1, head)), None
-        data = fh.read()
-        return data, data
+@contextlib.contextmanager
+def _regular(path):
+    """A name numpy may open for the file at ``path``: its absolute name
+    (numpy's datasource fetches "scheme://netloc" names), for a regular file
+    whose name has none of the ``_DECOMPRESSED_SUFFIXES``; otherwise that of
+    a temporary copy, such as of a pipe, which is removed on exit."""
+    if os.path.isfile(path) and not os.fsdecode(path).endswith(_DECOMPRESSED_SUFFIXES):
+        yield os.path.abspath(os.fsdecode(path))
+        return
+    copy = tempfile.NamedTemporaryFile(delete=False)
+    try:
+        with copy, open(path, "rb") as source:
+            shutil.copyfileobj(source, copy)
+        yield copy.name
+    finally:
+        os.remove(copy.name)
 
 
 def _canonical_psd(data: bytes) -> Psd | None:
@@ -181,10 +181,10 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
 
     Returns :func:`_read_rows`'s table when the first line is exactly one of
     the ``layouts`` headers (unpadded, LF-terminated), every row has that
-    header's field count, no byte is U+001C-U+001F, every read field is a
-    finite number and the name has none of the ``_DECOMPRESSED_SUFFIXES``.
-    Returns ``None`` for anything else, so the caller's row parser decides:
-    it accepts the same files and is the only code that names a bad line.
+    header's field count, no byte is U+001C-U+001F and every read field is a
+    finite number; ``path`` is a name from :func:`_regular`.  Returns
+    ``None`` for anything else, so the caller's row parser decides: it
+    accepts the same files and is the only code that names a bad line.
     :func:`read_psd_csv` asks only when the canonical parse declines, which
     it does for no file written on a grid of up to ``_CANONICAL_MAX_N`` nodes.
     """
@@ -196,17 +196,12 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
             if columns is None:
                 return None
         # Given a name, loadtxt reads the file in chunks in C (given a handle,
-        # it iterates its lines in Python).  Numpy opens a name through its
-        # datasource, which decompresses by suffix and fetches "scheme://netloc"
-        # names, so only an absolute name without such a suffix is handed over.
-        name = os.path.abspath(os.fsdecode(path))
-        if os.path.splitext(name)[1] in _DECOMPRESSED_SUFFIXES:
-            return None
+        # it iterates its lines in Python).
         with warnings.catch_warnings():
             # a header-only file: "input contained no data"
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(
-                name, delimiter=",", comments=None, skiprows=1, ndmin=2, usecols=columns
+                path, delimiter=",", comments=None, skiprows=1, ndmin=2, usecols=columns
             )
     except ValueError:
         return None
@@ -223,21 +218,19 @@ def _numeric_table(path, layouts: dict) -> np.ndarray | None:
     return table
 
 
-def _read_rows(path, layouts: dict, data: bytes | None = None) -> tuple[np.ndarray, list[int]]:
-    """Row-by-row parse of a numeric CSV, raising on the first bad line.
+def _read_rows(name, path, layouts: dict) -> tuple[np.ndarray, list[int]]:
+    """Row-by-row parse of the numeric CSV file ``name``, raising on the
+    first bad line with a message that names ``path``.
 
     ``layouts`` maps each accepted header to the columns read from it; the
     other columns must be present but are not parsed.  Returns those columns
     as an ``(n, len(columns))`` array of finite floats that owns its memory,
-    and the 1-based line number of each row.  Given the file's ``data``, it
-    parses those bytes, decoded as ``open(path, newline="")`` decodes the
-    file, instead of opening ``path``.
+    and the 1-based line number of each row.
     """
     rows: list[list[float]] = []
     lines: list[int] = []
     try:
-        text = open(path, newline="") if data is None else TextIOWrapper(BytesIO(data), newline="")
-        with text as fh:
+        with open(name, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             columns = None if header is None else layouts.get(tuple(c.strip() for c in header))
@@ -284,19 +277,21 @@ def read_psd_csv(path) -> Psd:
         Frequency column that is not uniform from -pi at 1e-9 relative
         tolerance.
     """
-    head, whole = _read_source(path, _CANONICAL_MAX_BYTES + 1)
-    psd = _canonical_psd(head)
-    if psd is not None:
-        return psd
-    table = None if whole is not None else _numeric_table(path, _PSD_LAYOUT)
-    if table is None or np.any(table[:, 1] < 0.0):
-        table, lines = _read_rows(path, _PSD_LAYOUT, whole)
-        negative = np.flatnonzero(table[:, 1] < 0.0)
-        if negative.size:
-            i = negative[0]
-            raise NegativeDensityError(
-                f"{path}: line {lines[i]}: negative density value {float(table[i, 1])}"
-            )
+    with _regular(path) as name:
+        with open(name, "rb") as fh:  # no further than its size
+            head = fh.read(min(os.fstat(fh.fileno()).st_size, _CANONICAL_MAX_BYTES) + 1)
+        psd = _canonical_psd(head)
+        if psd is not None:
+            return psd
+        table = _numeric_table(name, _PSD_LAYOUT)
+        if table is None or np.any(table[:, 1] < 0.0):
+            table, lines = _read_rows(name, path, _PSD_LAYOUT)
+            negative = np.flatnonzero(table[:, 1] < 0.0)
+            if negative.size:
+                i = negative[0]
+                raise NegativeDensityError(
+                    f"{path}: line {lines[i]}: negative density value {float(table[i, 1])}"
+                )
     thetas, values = table[:, 0], table[:, 1]
     n = len(thetas)
     if n < 2:
@@ -324,10 +319,10 @@ def read_timeseries_csv(path) -> TimeSeries:
     parsed table owns its memory and has one column; it is sealed read-only,
     so the series keeps that column rather than a copy.
     """
-    _, whole = _read_source(path, 0)
-    table = None if whole is not None else _numeric_table(path, _SERIES_LAYOUTS)
-    if table is None:
-        table, _ = _read_rows(path, _SERIES_LAYOUTS, whole)
+    with _regular(path) as name:
+        table = _numeric_table(name, _SERIES_LAYOUTS)
+        if table is None:
+            table, _ = _read_rows(name, path, _SERIES_LAYOUTS)
     table.setflags(write=False)
     try:
         return TimeSeries(samples=table[:, 0])

@@ -287,6 +287,20 @@ class TestMatrix:
             blobs.add(out.read_bytes())
         assert len(blobs) == 1
 
+    def test_files_with_one_stem_are_refused(self, capsys, tmp_path, fixtures):
+        # the matrix labels its rows by stem, so two x.csv rows could not be told apart
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        first.write_bytes(fixtures["const1"].read_bytes())
+        second.write_bytes(fixtures["expcos"].read_bytes())
+        for files in ([first, fixtures["expcos"], second], [first, first]):
+            out = tmp_path / "m.csv"
+            code, _, err = run(capsys, "matrix", *files, "--out", out)
+            assert code == 2
+            assert err == f"usage error: {first} and {files[-1]} both give the label 'x'\n"
+            assert not out.exists()
+
     def test_all_zero_file_is_named(self, capsys, tmp_path, fixtures):
         zero = tmp_path / "zero.csv"
         zero.write_text(per_row_psd_csv(make_grid(8).nodes, np.zeros(8)))

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 import urllib.request
 import warnings
@@ -357,6 +358,26 @@ def _refuse_network(*args, **kwargs):
     raise AssertionError("a file name was opened as a URL")
 
 
+def _refuse_row_parser(*args, **kwargs):
+    raise AssertionError("took the row parser")
+
+
+def _read_piped(read, data):
+    """``read`` of a pipe holding ``data``, as from ``<(cat f.csv)``; ``data``
+    stays under the 64 KiB pipe buffer, so it is written before the read."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def _series_bytes(samples):
+    return ("value\n" + "".join(f"{x!r}\n" for x in samples.tolist())).encode()
+
+
 def _outcome(read, path):
     """What a reader makes of a file: its result, or its exception."""
     try:
@@ -460,39 +481,73 @@ class TestFastParse:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_a_written_file_is_read_from_a_pipe(self, tmp_path, grid64):
-        # A pipe has no size and gives its bytes once, as from `specdist dist
-        # <(cat f.csv)`: the canonical parse takes a written file whole, and
-        # the row parser its twins and a series past the 8 KiB text buffer
-        # (under the 64 KiB pipe buffer, so it is written before the read).
+        # A pipe has no size and gives its bytes once: its copy takes the
+        # parse a file of the same bytes takes.
         f = random_positive_spectrum(np.random.default_rng(5), grid64)
         path = tmp_path / "f.csv"
         write_psd_csv(f, path)
         written = path.read_bytes()
-        samples = np.random.default_rng(6).standard_normal(1500)
-        series = ("value\n" + "".join(f"{x!r}\n" for x in samples.tolist())).encode()
-        assert 10 << 10 < len(series) < 60 << 10
-        psd, ts = (read_psd_csv, lambda g: g.values), (read_timeseries_csv, lambda s: s.samples)
         twins = {
-            "written": (*psd, written),
-            "theta 0.0": (*psd, written.replace(b"\n0,", b"\n0.0,")),
-            "crlf": (*psd, written.replace(b"\n", b"\r\n")),
-            "no final LF": (*psd, written[:-1]),
-            "series": (*ts, series),
+            "written": written,
+            "theta 0.0": written.replace(b"\n0,", b"\n0.0,"),
+            "crlf": written.replace(b"\n", b"\r\n"),
+            "no final LF": written[:-1],
         }
-        assert len({data for _, _, data in twins.values()}) == len(twins)
-        for name, (read, vector, data) in twins.items():
+        assert len(set(twins.values())) == len(twins)
+        for name, data in twins.items():
             twin = tmp_path / "twin.csv"
             twin.write_bytes(data)
-            r, w = os.pipe()
-            try:
-                os.write(w, data)
-                os.close(w)
-                piped = vector(read(f"/dev/fd/{r}"))
-            finally:
-                os.close(r)
-            expected = f.values if read is read_psd_csv else samples
-            np.testing.assert_array_equal(vector(read(twin)).view(np.uint64), expected.view(np.uint64))
-            np.testing.assert_array_equal(piped.view(np.uint64), expected.view(np.uint64), err_msg=name)
+            piped = _read_piped(read_psd_csv, data).values
+            np.testing.assert_array_equal(read_psd_csv(twin).values.view(np.uint64), f.values.view(np.uint64))
+            np.testing.assert_array_equal(piped.view(np.uint64), f.values.view(np.uint64), err_msg=name)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_piped_series_takes_the_vectorized_parse(self, tmp_path, monkeypatch):
+        # past the 8 KiB text buffer a header read takes from a pipe
+        samples = np.random.default_rng(7).standard_normal(1500)
+        data = _series_bytes(samples)
+        assert 10 << 10 < len(data) < 60 << 10
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        expected = read_timeseries_csv(path).samples
+        np.testing.assert_array_equal(expected.view(np.uint64), samples.view(np.uint64))
+        monkeypatch.setattr(specdist_io, "_read_rows", _refuse_row_parser)
+        piped = _read_piped(read_timeseries_csv, data).samples
+        np.testing.assert_array_equal(piped.view(np.uint64), expected.view(np.uint64))
+
+    def test_a_decompressor_named_series_takes_the_vectorized_parse(self, tmp_path, monkeypatch):
+        # plain text under a name numpy would open with gzip
+        samples = np.random.default_rng(8).standard_normal(100)
+        path = tmp_path / "series.csv.gz"
+        path.write_bytes(_series_bytes(samples))
+        with monkeypatch.context() as m:
+            m.setattr(specdist_io, "_read_rows", _refuse_row_parser)
+            read = read_timeseries_csv(path).samples
+        np.testing.assert_array_equal(read.view(np.uint64), samples.view(np.uint64))
+        path.write_bytes(b"value\n1\nx\n")
+        with pytest.raises(CsvParseError, match=f"^{re.escape(str(path))}: line 3: non-numeric"):
+            read_timeseries_csv(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_piped_read_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        parsed = []
+        numeric_table = specdist_io._numeric_table
+
+        def spy(name, layouts):
+            parsed.append(os.path.dirname(name))
+            return numeric_table(name, layouts)
+
+        monkeypatch.setattr(specdist_io, "_numeric_table", spy)
+        assert _read_piped(read_timeseries_csv, b"value\n1\n2\n").samples.tolist() == [1.0, 2.0]
+        assert list(spool.iterdir()) == []
+        with pytest.raises(CsvParseError, match=r"^/dev/fd/\d+: line 3: non-numeric") as exc:
+            _read_piped(read_timeseries_csv, b"value\n1\nx\n")
+        assert str(spool) not in str(exc.value)
+        assert list(spool.iterdir()) == []
+        assert parsed == [str(spool)] * 2
 
     def test_timestamp_t_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "ts.csv"

@@ -84,7 +84,7 @@ def test_psd_csv_round_trip_is_bitwise(tmp_path_factory, data, n):
     assert g.zero_set == f.zero_set
     # the vectorized parse and the row parser read the same bits
     fast = specdist_io._numeric_table(path, specdist_io._PSD_LAYOUT)
-    rows, lines = specdist_io._read_rows(path, specdist_io._PSD_LAYOUT)
+    rows, lines = specdist_io._read_rows(path, path, specdist_io._PSD_LAYOUT)
     assert fast is not None and fast.shape == rows.shape == (n, 2)
     np.testing.assert_array_equal(fast.view(np.uint64), rows.view(np.uint64))
     assert lines == list(range(2, n + 2))
